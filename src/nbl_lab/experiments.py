@@ -8,6 +8,7 @@ serialized with shortest round-trip repr, so reruns are byte-identical.
 from __future__ import annotations
 
 import json
+import math
 import statistics
 import time
 from dataclasses import dataclass, field
@@ -74,6 +75,9 @@ class ExperimentConfig:
             raise ValueError("bit counts must be non-negative")
         if any(k < 0 for k in self.clocks):
             raise ValueError("clock counts must be non-negative")
+        for name in ("epsilons", "p_targets"):
+            if not all(math.isfinite(x) for x in getattr(self, name)):
+                raise ValueError(f"{name} must be finite numbers, got {getattr(self, name)}")
 
     def echo(self) -> dict:
         return {
@@ -113,7 +117,7 @@ class ExperimentReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2) + "\n"
+        return json.dumps(self.to_json_dict(), indent=2, allow_nan=False) + "\n"
 
     def to_csv(self) -> str:
         """Records table only; provenance columns are part of the records.
@@ -231,7 +235,9 @@ def run_readout_scaling(config: ExperimentConfig) -> ExperimentReport:
     """Monte Carlo failure rate of the fast readout over an (N, K) grid.
 
     The CSV projection carries the canonical sweep columns; the JSON
-    records additionally hold the 2^-(K-N) reference rate."""
+    records additionally hold the reference rate 2^-(K-N).  That rate is
+    the union bound on the probability that the K×N GF(2) system is
+    rank-deficient: an upper bound on the failure rate, not an estimate."""
     started = time.perf_counter()
     if not config.bits or not config.clocks:
         raise ValueError("readout scaling requires bit and clock counts")

@@ -1,14 +1,15 @@
 """Hyperspace product states: basis product strings, binary superpositions,
 and the low-cost product-form synthesis of the full-universe superposition.
 
-Operation counting is built into the synthesis paths so complexity claims
-can be asserted on actual executed work rather than wall-clock time.
+Each synthesis path tallies the scalar operations its work takes, so
+complexity claims are asserted on operation counts rather than wall-clock
+time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -102,10 +103,6 @@ class Superposition:
             if ps.n_bits != self.n_bits:
                 raise ValueError(f"member {ps} does not have {self.n_bits} bits")
 
-    @classmethod
-    def of(cls, n_bits: int, members: Iterable[ProductString] = ()) -> "Superposition":
-        return cls(n_bits, frozenset(members))
-
     def with_member(self, ps: ProductString) -> "Superposition":
         """Set-semantics add: a duplicate member is a no-op."""
         return Superposition(self.n_bits, self.members | {ps})
@@ -150,13 +147,13 @@ def realize_product(ps: ProductString, refsys: ReferenceSystem,
     """
     if ps.n_bits != refsys.n_bits:
         raise ValueError(f"product string has {ps.n_bits} bits, system has {refsys.n_bits}")
-    clocks = refsys.clocks
-    acc = np.ones(clocks, dtype=np.int8)
-    for r in range(1, ps.n_bits + 1):
-        acc = acc * refsys.wave(r, ps.selection(r)).samples
-        if counter is not None:
-            counter.count_mul(clocks)
-    return ClockedWave._wrap(acc)
+    n_bits = ps.n_bits
+    mask_bytes = np.frombuffer(ps.mask.to_bytes((n_bits + 7) // 8, "little"), dtype=np.uint8)
+    select = np.unpackbits(mask_bytes, bitorder="little")[:n_bits]
+    product = refsys.samples[select, np.arange(n_bits)].prod(axis=0, dtype=np.int8)
+    if counter is not None:
+        counter.count_mul(n_bits * refsys.clocks)
+    return ClockedWave._wrap(product)
 
 
 def realize_superposition(s: Superposition, refsys: ReferenceSystem,
@@ -184,27 +181,19 @@ def synthesize_universe(refsys: ReferenceSystem,
     # Factor samples lie in {-2, 0, +2}; the running product can reach
     # ±2^N, so fall back to Python integers beyond the int64 range.
     dtype = np.int64 if n_bits <= 62 else object
-    factors = []
-    for r in range(1, n_bits + 1):
-        low = refsys.low(r).samples.astype(dtype)
-        factors.append(low + refsys.high(r).samples)
-        if counter is not None:
-            counter.count_add(clocks)
-    if not factors:
-        return IntegerWave._wrap(np.ones(clocks, dtype=np.int64))
-    acc = factors[0]
-    for factor in factors[1:]:
-        acc = acc * factor
-        if counter is not None:
-            counter.count_mul(clocks)
-    return IntegerWave._wrap(acc)
+    low, high = refsys.samples
+    universe = (low.astype(dtype) + high).prod(axis=0, dtype=dtype)
+    if counter is not None:
+        counter.count_add(n_bits * clocks)
+        counter.count_mul(max(n_bits - 1, 0) * clocks)
+    return IntegerWave._wrap(universe)
 
 
 def expand_universe(n_bits: int, cap: int = PRODUCT_STRING_CAP) -> Superposition:
     """The superposition of all 2^N product strings (explicit enumeration)."""
     if n_bits > cap:
         raise EnumerationCapError("universe expansion", n_bits, cap)
-    return Superposition.of(n_bits, (ProductString(n_bits, m) for m in range(1 << n_bits)))
+    return Superposition(n_bits, (ProductString(n_bits, m) for m in range(1 << n_bits)))
 
 
 def enumerate_superpositions(n_bits: int) -> int:

@@ -225,19 +225,22 @@ def brute_force_readout(wave: AnyWave, refsys: ReferenceSystem) -> ReadoutResult
     if refsys.n_bits > BRUTE_FORCE_CAP:
         raise EnumerationCapError("brute-force readout", refsys.n_bits, BRUTE_FORCE_CAP)
     target = _check_wave_length(wave, refsys)
-    # Level r holds the 2^r partial products over bits 1..r, indexed by
-    # selection mask (H_j contributes 2^(j-1)).
-    level: list[np.ndarray] = [np.ones(refsys.clocks, dtype=np.int8)]
-    for r in range(1, refsys.n_bits + 1):
-        low = refsys.low(r).samples
-        high = refsys.high(r).samples
-        level = [p * low for p in level] + [p * high for p in level]
-    survivors = [
-        ProductString(refsys.n_bits, mask)
-        for mask, product in enumerate(level)
-        if np.array_equal(product, target)
-    ]
-    return ReadoutResult.from_survivors(survivors, refsys.clocks)
+    n_bits, clocks = refsys.n_bits, refsys.clocks
+    if target.size and not np.all((target == 1) | (target == -1)):
+        return ReadoutResult("inconsistent", frozenset(), 0, clocks)
+    # Row m becomes candidate m's product (H_j adds 2^(j-1) to m), filled by in-place doubling.
+    products = np.empty((1 << n_bits, clocks), dtype=np.int8)
+    products[0] = 1
+    low, high = refsys.samples
+    for r in range(n_bits):
+        filled = 1 << r
+        np.multiply(products[:filled], high[r], out=products[filled:2 * filled])
+        products[:filled] *= low[r]
+    # A row matches iff its samplewise product with the ±1 target is all +1.
+    products *= target.astype(np.int8)
+    matches = np.flatnonzero(products.min(axis=1, initial=1) == 1)
+    return ReadoutResult.from_survivors(
+        (ProductString(n_bits, int(mask)) for mask in matches), clocks)
 
 
 def gf2_fast_readout(wave: AnyWave, refsys: ReferenceSystem,
@@ -262,16 +265,15 @@ def gf2_fast_readout(wave: AnyWave, refsys: ReferenceSystem,
     if samples.size and not np.all(np.abs(samples) == 1):
         # No product of bipolar waves can match a non-bipolar sample.
         return ReadoutResult("inconsistent", frozenset(), 0, clocks)
-    sign_w = (samples == -1).astype(np.uint8)
+    sign_w = samples == -1
     if n_bits == 0:
         if sign_w.any():
             return ReadoutResult("inconsistent", frozenset(), 0, clocks)
         return ReadoutResult.from_survivors([ProductString(0, 0)], clocks)
 
-    sign_l = np.stack([refsys.low(r).samples == -1 for r in range(1, n_bits + 1)]).astype(np.uint8)
-    sign_h = np.stack([refsys.high(r).samples == -1 for r in range(1, n_bits + 1)]).astype(np.uint8)
+    sign_l, sign_h = refsys.samples == -1
     coeff_bits = sign_l ^ sign_h                      # a_r(t), shape (N, K)
-    rhs = sign_w ^ (sign_l.sum(axis=0, dtype=np.int64) & 1).astype(np.uint8)
+    rhs = sign_w ^ np.logical_xor.reduce(sign_l, axis=0)
 
     if n_bits <= 63:
         weights = (np.uint64(1) << np.arange(n_bits, dtype=np.uint64))

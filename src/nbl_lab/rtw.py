@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Union
 
 import numpy as np
 
@@ -36,6 +36,8 @@ def _encode_path_element(element: PathElement) -> bytes:
     if isinstance(element, bool):  # bool is an int subclass; reject explicitly
         raise TypeError("path elements must be int or str, not bool")
     if isinstance(element, int):
+        if not -2**63 <= element < 2**63:
+            raise ValueError(f"int path element {element} is outside the signed 64-bit range")
         return b"i" + element.to_bytes(8, "big", signed=True)
     if isinstance(element, str):
         raw = element.encode("utf-8")
@@ -57,6 +59,8 @@ class SeedSpec:
     path: tuple[PathElement, ...] = ()
 
     def __post_init__(self) -> None:
+        if isinstance(self.master_seed, bool):  # bool is an int subclass; reject explicitly
+            raise TypeError("master_seed must be an int, not bool")
         if not 0 <= self.master_seed < 2**64:
             raise ValueError("master_seed must be a 64-bit unsigned integer")
         object.__setattr__(self, "path", tuple(self.path))
@@ -210,66 +214,68 @@ def generate_rtw(seed: SeedSpec, clocks: int) -> ClockedWave:
 
 
 class ReferenceSystem:
-    """The 2N independent reference waves {L_r, H_r} for N noise-bits."""
+    """The 2N independent reference waves {L_r, H_r} for N noise-bits, held
+    as one read-only (2, N, K) int8 array of ±1 samples."""
 
-    __slots__ = ("_n_bits", "_clocks", "_l_waves", "_h_waves")
+    __slots__ = ("_samples",)
 
-    def __init__(self, l_waves: Sequence[ClockedWave], h_waves: Sequence[ClockedWave], clocks: int):
-        if len(l_waves) != len(h_waves):
-            raise ValueError("need one L wave and one H wave per bit")
-        for wave in (*l_waves, *h_waves):
-            if len(wave) != clocks:
-                raise ValueError("all reference waves must have the system clock length")
-        self._n_bits = len(l_waves)
-        self._clocks = clocks
-        self._l_waves = tuple(l_waves)
-        self._h_waves = tuple(h_waves)
+    def __init__(self, samples: np.ndarray):
+        raw = np.asarray(samples)
+        if raw.ndim != 3 or raw.shape[0] != 2:
+            raise ValueError(f"samples must have shape (2, N, K), got {raw.shape}")
+        # Validate before any narrowing cast (int8 would wrap 255 to -1).
+        if raw.size and not np.all((raw == 1) | (raw == -1)):
+            raise ValueError("every reference sample must be -1 or +1")
+        arr = raw.astype(np.int8)
+        arr.setflags(write=False)
+        self._samples = arr
+
+    @property
+    def samples(self) -> np.ndarray:
+        """samples[0] holds L_1..L_N and samples[1] holds H_1..H_N, as (N, K) rows."""
+        return self._samples
 
     @property
     def n_bits(self) -> int:
-        return self._n_bits
+        return self._samples.shape[1]
 
     @property
     def clocks(self) -> int:
-        return self._clocks
+        return self._samples.shape[2]
 
     def low(self, r: int) -> ClockedWave:
         """L_r for bit index r in 1..N."""
-        self._check_bit(r)
-        return self._l_waves[r - 1]
+        return self.wave(r, "L")
 
     def high(self, r: int) -> ClockedWave:
         """H_r for bit index r in 1..N."""
-        self._check_bit(r)
-        return self._h_waves[r - 1]
+        return self.wave(r, "H")
 
     def wave(self, r: int, role: str) -> ClockedWave:
-        if role == "L":
-            return self.low(r)
-        if role == "H":
-            return self.high(r)
-        raise ValueError(f"role must be 'L' or 'H', got {role!r}")
+        """A read-only view of L_r or H_r."""
+        if role not in ("L", "H"):
+            raise ValueError(f"role must be 'L' or 'H', got {role!r}")
+        if not 1 <= r <= self.n_bits:
+            raise ValueError(f"bit index {r} out of range 1..{self.n_bits}")
+        return ClockedWave._wrap(self._samples[int(role == "H"), r - 1])
 
     def all_waves(self) -> tuple[ClockedWave, ...]:
         """All 2N waves, L_1..L_N then H_1..H_N."""
-        return self._l_waves + self._h_waves
-
-    def _check_bit(self, r: int) -> None:
-        if not 1 <= r <= self._n_bits:
-            raise ValueError(f"bit index {r} out of range 1..{self._n_bits}")
+        return tuple(ClockedWave._wrap(row) for half in self._samples for row in half)
 
     def __repr__(self) -> str:
-        return f"ReferenceSystem(N={self._n_bits}, K={self._clocks})"
+        return f"ReferenceSystem(N={self.n_bits}, K={self.clocks})"
 
 
 def make_reference_system(master_seed: int, n_bits: int, clocks: int) -> ReferenceSystem:
     """Build the 2N reference waves from distinct substreams of one seed."""
-    if n_bits < 0:
-        raise ValueError("bit count must be non-negative")
+    if n_bits < 0 or clocks < 0:
+        raise ValueError("bit and clock counts must be non-negative")
     root = SeedSpec(master_seed)
-    l_waves = [generate_rtw(root.child("bit", r, "L"), clocks) for r in range(1, n_bits + 1)]
-    h_waves = [generate_rtw(root.child("bit", r, "H"), clocks) for r in range(1, n_bits + 1)]
-    return ReferenceSystem(l_waves, h_waves, clocks)
+    bits = np.empty((2, n_bits, clocks), dtype=np.int8)
+    for half, r in np.ndindex(2, n_bits):
+        bits[half, r] = root.child("bit", r + 1, "LH"[half]).bits(clocks)
+    return ReferenceSystem(2 * bits - 1)
 
 
 def multiply(a: ClockedWave, b: ClockedWave) -> ClockedWave:

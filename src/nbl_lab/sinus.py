@@ -50,9 +50,6 @@ class SinusRepresentation:
         if self.n_bits < 0:
             raise ValueError("bit count must be non-negative")
 
-    def frequency(self, r: int, value: str) -> int:
-        return value_frequency(self, r, value)
-
 
 def value_frequency(rep: SinusRepresentation, r: int, value: str) -> int:
     """Harmonic index (multiple of f0) assigned to bit r's L or H value."""

@@ -88,6 +88,14 @@ class TestExitCodes:
             ["universe-check", "--bits", "2", "--bits-range", "2,3"], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("flag", ["--epsilon", "--p-target"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_float_exits_2(self, flag, value, capsys):
+        code, out, err = run_cli(["bounds-table", "--bits", "4", flag, value], capsys)
+        assert code == 2
+        assert out == ""
+        assert "must be finite" in err
+
     def test_unknown_flag_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["bounds-table", "--frobnicate"])

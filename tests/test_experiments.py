@@ -41,6 +41,10 @@ class TestExperimentConfig:
             ExperimentConfig("x", bits=(-1,))
         with pytest.raises(ValueError):
             ExperimentConfig("x", clocks=(-4,))
+        with pytest.raises(ValueError, match="epsilons"):
+            ExperimentConfig("x", epsilons=(0.1, float("nan")))
+        with pytest.raises(ValueError, match="p_targets"):
+            ExperimentConfig("x", p_targets=(float("inf"),))
 
     def test_echo_is_plain_json_types(self):
         echo = ExperimentConfig("x", bits=(1, 2), clocks=(3,)).echo()
@@ -64,6 +68,12 @@ class TestReportRendering:
         assert data["tool_version"] == __version__
         assert list(data) == ["schema_version", "tool_version", "experiment", "config",
                               "columns", "records", "summary", "wall_time_s"]
+
+    def test_json_refuses_non_finite_floats(self):
+        report = ExperimentReport(experiment="x", config={}, columns=["a"],
+                                  records=[{"a": float("nan")}])
+        with pytest.raises(ValueError):
+            report.to_json()
 
     def test_unknown_format_rejected(self):
         report = ExperimentReport(experiment="x", config={}, columns=[], records=[])

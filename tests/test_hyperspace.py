@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nbl_lab import (
     ClockedWave,
@@ -9,6 +11,7 @@ from nbl_lab import (
     IntegerWave,
     OpCounter,
     ProductString,
+    ReferenceSystem,
     Superposition,
     enumerate_superpositions,
     expand_universe,
@@ -63,21 +66,21 @@ class TestProductString:
 class TestSuperposition:
     def test_set_semantics(self):
         ps = ProductString(2, 1)
-        s = Superposition.of(2, [ps])
+        s = Superposition(2, [ps])
         assert len(s.with_member(ps)) == 1
         other = ProductString(2, 2)
         assert len(s.with_member(other)) == 2
 
     def test_member_dimension_checked(self):
         with pytest.raises(ValueError):
-            Superposition.of(2, [ProductString(3, 0)])
+            Superposition(2, [ProductString(3, 0)])
 
     def test_sorted_members(self):
-        s = Superposition.of(2, [ProductString(2, 3), ProductString(2, 0)])
+        s = Superposition(2, [ProductString(2, 3), ProductString(2, 0)])
         assert [ps.mask for ps in s.sorted_members()] == [0, 3]
 
     def test_json_list_is_canonically_ordered(self):
-        s = Superposition.of(2, [ProductString(2, 2), ProductString(2, 1)])
+        s = Superposition(2, [ProductString(2, 2), ProductString(2, 1)])
         assert s.to_json_list() == ["HL", "LH"]
 
 
@@ -108,6 +111,18 @@ class TestRealizeProduct:
             wave = realize_product(ps, system)
             ClockedWave(wave.samples)  # re-validates the ±1 invariant
 
+    @given(st.integers(0, 10), st.integers(0, 2**10 - 1), st.integers(0, 48),
+           st.integers(0, 2**32))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_per_bit_fold(self, n_bits, mask, clocks, seed):
+        # Reference: fold the selected L_r/H_r waves one bit at a time.
+        mask &= (1 << n_bits) - 1
+        system = make_reference_system(seed, n_bits, clocks)
+        expected = ClockedWave.all_ones(clocks)
+        for r in range(1, n_bits + 1):
+            expected = multiply(expected, system.high(r) if (mask >> (r - 1)) & 1 else system.low(r))
+        assert realize_product(ProductString(n_bits, mask), system) == expected
+
     def test_op_count_is_n_multiplications_per_clock(self):
         system = make_reference_system(SEED, 5, 32)
         counter = OpCounter()
@@ -119,25 +134,25 @@ class TestRealizeProduct:
 class TestRealizeSuperposition:
     def test_empty_is_zero_wave(self):
         system = make_reference_system(SEED, 2, 16)
-        wave = realize_superposition(Superposition.of(2), system)
+        wave = realize_superposition(Superposition(2), system)
         assert wave == IntegerWave(np.zeros(16, dtype=np.int64))
 
     def test_singleton_equals_product(self):
         system = make_reference_system(SEED, 2, 16)
         ps = ProductString.from_string("LH")
-        sup = realize_superposition(Superposition.of(2, [ps]), system)
+        sup = realize_superposition(Superposition(2, [ps]), system)
         assert np.array_equal(sup.samples, realize_product(ps, system).samples)
 
     def test_samples_bounded_by_member_count(self):
         system = make_reference_system(SEED, 3, 128)
         members = [ProductString(3, m) for m in (0, 3, 5)]
-        wave = realize_superposition(Superposition.of(3, members), system)
+        wave = realize_superposition(Superposition(3, members), system)
         assert np.all(np.abs(wave.samples) <= 3)
 
     def test_dimension_mismatch(self):
         system = make_reference_system(SEED, 2, 8)
         with pytest.raises(ValueError):
-            realize_superposition(Superposition.of(3), system)
+            realize_superposition(Superposition(3), system)
 
 
 class TestSynthesizeUniverse:
@@ -195,16 +210,10 @@ class TestSynthesizeUniverse:
     def test_chunked_evaluation_matches_sequential(self):
         # Samples are independent across clocks, so evaluating the
         # universe on clock slices must reproduce the whole-wave result.
-        from nbl_lab import ClockedWave, ReferenceSystem
-
         full = make_reference_system(SEED, 5, 96)
         whole = synthesize_universe(full)
-        pieces = []
-        for start, stop in ((0, 17), (17, 64), (64, 96)):
-            l_waves = [ClockedWave(full.low(r).samples[start:stop]) for r in range(1, 6)]
-            h_waves = [ClockedWave(full.high(r).samples[start:stop]) for r in range(1, 6)]
-            chunk = ReferenceSystem(l_waves, h_waves, stop - start)
-            pieces.append(synthesize_universe(chunk).samples)
+        pieces = [synthesize_universe(ReferenceSystem(full.samples[:, :, start:stop])).samples
+                  for start, stop in ((0, 17), (17, 64), (64, 96))]
         assert np.array_equal(np.concatenate(pieces), whole.samples)
 
 
@@ -244,6 +253,6 @@ class TestDistinguishability:
         realizations = set()
         for subset in range(16):
             members = [ProductString(2, m) for m in range(4) if (subset >> m) & 1]
-            wave = realize_superposition(Superposition.of(2, members), system)
+            wave = realize_superposition(Superposition(2, members), system)
             realizations.add(wave.samples.tobytes())
         assert len(realizations) == 16

@@ -160,6 +160,16 @@ class TestBruteForceReadout:
         assert result.status == "inconsistent"
         assert result.survivor_count == 0
 
+    @pytest.mark.parametrize("bad", [255, 257])
+    def test_sample_wrapping_under_int8_is_inconsistent(self, bad):
+        # An int8 cast maps 255 to -1 and 257 to +1; place the value where
+        # the wrapped sample would match the planted string.
+        system = make_reference_system(42, 3, 16)
+        samples = realize_product(ProductString(3, 2), system).samples.astype(np.int64)
+        samples[np.flatnonzero(samples == bad - 256)[0]] = bad
+        for readout in (brute_force_readout, gf2_fast_readout):
+            assert readout(IntegerWave(samples), system).status == "inconsistent"
+
     def test_cap(self):
         system = make_reference_system(SEED, 17, 1)
         wave = realize_product(ProductString(17, 0), system)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from nbl_lab import (
     ClockedWave,
     IntegerWave,
+    ReferenceSystem,
     SeedSpec,
     generate_rtw,
     load_wave_file,
@@ -37,6 +38,8 @@ class TestSeedSpec:
             SeedSpec(-1)
         with pytest.raises(ValueError):
             SeedSpec(2**64)
+        with pytest.raises(TypeError):
+            SeedSpec(True)
 
     def test_path_elements_typed(self):
         SeedSpec(1, ("bit", 3, "L"))
@@ -44,6 +47,12 @@ class TestSeedSpec:
             SeedSpec(1, (3.5,))
         with pytest.raises(TypeError):
             SeedSpec(1, (True,))
+
+    def test_path_integers_limited_to_signed_64_bit(self):
+        SeedSpec(1, (2**63 - 1, -2**63))
+        for element in (2**63, -2**63 - 1):
+            with pytest.raises(ValueError, match="signed 64-bit range"):
+                SeedSpec(1, (element,))
 
     def test_child_extends_path(self):
         spec = SeedSpec(1, ("a",)).child("b", 2)
@@ -273,6 +282,30 @@ class TestReferenceSystem:
             system.high(3)
         with pytest.raises(ValueError):
             system.wave(1, "X")
+
+    @pytest.mark.parametrize("shape", [(3, 8), (3, 3, 8)])
+    def test_refuses_wrong_shape(self, shape):
+        with pytest.raises(ValueError, match="shape"):
+            ReferenceSystem(np.ones(shape, dtype=np.int8))
+
+    @pytest.mark.parametrize("bad", [0, 255])
+    def test_refuses_non_bipolar_sample(self, bad):
+        # 255 would wrap to -1 under an int8 cast, so it must be refused first.
+        samples = np.ones((2, 3, 8), dtype=np.int64)
+        samples[1, 2, 5] = bad
+        with pytest.raises(ValueError, match="-1 or \\+1"):
+            ReferenceSystem(samples)
+
+    def test_samples_are_a_read_only_copy(self):
+        source = np.ones((2, 2, 4), dtype=np.int8)
+        system = ReferenceSystem(source)
+        source[:] = -1
+        assert system.samples.shape == (2, 2, 4)
+        assert np.all(system.samples == 1)
+        with pytest.raises(ValueError):
+            system.samples[0, 0, 0] = -1
+        with pytest.raises(ValueError):
+            system.high(2).samples[0] = -1
 
     def test_negative_bits_rejected(self):
         with pytest.raises(ValueError):
