@@ -32,7 +32,6 @@ __all__ = [
     "gf2_fast_readout",
     "plant_trial",
     "count_failures",
-    "measure_failure_rate",
     "stacho_clock_bound",
     "timeshifted_readout_steps",
     "BRUTE_FORCE_CAP",
@@ -49,34 +48,33 @@ AnyWave = Union[ClockedWave, IntegerWave]
 
 @dataclass(frozen=True)
 class ReadoutResult:
-    """Outcome of a readout: surviving candidate strings and a status.
+    """Outcome of a readout: the surviving candidate strings.
 
-    status is "unique" (one survivor), "ambiguous" (two or more) or
-    "inconsistent" (none).  *survivors* is None when the set was too large
-    to materialize; *survivor_count* is always exact.
+    *survivors* is None when the set was too large to materialize;
+    *survivor_count* is always exact, and the status is derived from it.
     """
 
-    status: str
     survivors: frozenset[ProductString] | None
     survivor_count: int
     clocks_used: int
 
     def __post_init__(self) -> None:
-        expected = {"unique": self.survivor_count == 1,
-                    "ambiguous": self.survivor_count >= 2,
-                    "inconsistent": self.survivor_count == 0}
-        if self.status not in expected:
-            raise ValueError(f"unknown status {self.status!r}")
-        if not expected[self.status]:
-            raise ValueError(f"status {self.status!r} inconsistent with "
-                             f"{self.survivor_count} survivors")
+        if self.survivor_count < 0:
+            raise ValueError(f"survivor count {self.survivor_count} is negative")
         if self.survivors is not None and len(self.survivors) != self.survivor_count:
             raise ValueError("materialized survivor set does not match survivor_count")
 
     @classmethod
     def from_survivors(cls, survivors: Iterable[ProductString], clocks_used: int) -> "ReadoutResult":
         fs = frozenset(survivors)
-        return cls(_status_for_count(len(fs)), fs, len(fs), clocks_used)
+        return cls(fs, len(fs), clocks_used)
+
+    @property
+    def status(self) -> str:
+        """"unique" (one survivor), "ambiguous" (two or more) or "inconsistent" (none)."""
+        if self.survivor_count == 0:
+            return "inconsistent"
+        return "unique" if self.survivor_count == 1 else "ambiguous"
 
     @property
     def is_unique(self) -> bool:
@@ -87,12 +85,6 @@ class ReadoutResult:
             raise ValueError(f"no sole survivor: status is {self.status!r}")
         assert self.survivors is not None
         return next(iter(self.survivors))
-
-
-def _status_for_count(count: int) -> str:
-    if count == 0:
-        return "inconsistent"
-    return "unique" if count == 1 else "ambiguous"
 
 
 class Gf2System:
@@ -202,6 +194,12 @@ class Gf2System:
             yield sol
 
 
+def _pack_columns(bits: np.ndarray) -> list[int]:
+    """Each column of a (rows, columns) 0/1 table as an int with row i at bit i."""
+    packed = np.packbits(bits, axis=0, bitorder="little")
+    return [int.from_bytes(column.tobytes(), "little") for column in packed.T]
+
+
 def _check_wave_length(wave: AnyWave, refsys: ReferenceSystem) -> np.ndarray:
     samples = np.asarray(wave.samples)
     if samples.size != refsys.clocks:
@@ -227,7 +225,7 @@ def brute_force_readout(wave: AnyWave, refsys: ReferenceSystem) -> ReadoutResult
     target = _check_wave_length(wave, refsys)
     n_bits, clocks = refsys.n_bits, refsys.clocks
     if target.size and not np.all((target == 1) | (target == -1)):
-        return ReadoutResult("inconsistent", frozenset(), 0, clocks)
+        return ReadoutResult.from_survivors((), clocks)
     # Row m becomes candidate m's product (H_j adds 2^(j-1) to m), filled by in-place doubling.
     products = np.empty((1 << n_bits, clocks), dtype=np.int8)
     products[0] = 1
@@ -264,37 +262,22 @@ def gf2_fast_readout(wave: AnyWave, refsys: ReferenceSystem,
     n_bits, clocks = refsys.n_bits, refsys.clocks
     if samples.size and not np.all(np.abs(samples) == 1):
         # No product of bipolar waves can match a non-bipolar sample.
-        return ReadoutResult("inconsistent", frozenset(), 0, clocks)
-    sign_w = samples == -1
-    if n_bits == 0:
-        if sign_w.any():
-            return ReadoutResult("inconsistent", frozenset(), 0, clocks)
-        return ReadoutResult.from_survivors([ProductString(0, 0)], clocks)
-
+        return ReadoutResult.from_survivors((), clocks)
     sign_l, sign_h = refsys.samples == -1
-    coeff_bits = sign_l ^ sign_h                      # a_r(t), shape (N, K)
-    rhs = sign_w ^ np.logical_xor.reduce(sign_l, axis=0)
-
-    if n_bits <= 63:
-        weights = (np.uint64(1) << np.arange(n_bits, dtype=np.uint64))
-        packed = coeff_bits.astype(np.uint64).T @ weights
-        rows = [int(c) | (int(b) << n_bits) for c, b in zip(packed, rhs)]
-    else:
-        rows = []
-        for t in range(clocks):
-            coeff = int.from_bytes(
-                np.packbits(coeff_bits[:, t], bitorder="little").tobytes(), "little")
-            rows.append(coeff | (int(rhs[t]) << n_bits))
-
-    system = Gf2System(n_bits, rows)
+    rhs = (samples == -1) ^ np.logical_xor.reduce(sign_l, axis=0)
+    # Row t: bit r-1 is a_r(t), bit N is the right-hand side.
+    system = Gf2System(n_bits, _pack_columns(np.vstack([sign_l ^ sign_h, rhs])))
     if not system.consistent:
-        return ReadoutResult("inconsistent", frozenset(), 0, clocks)
+        return ReadoutResult.from_survivors((), clocks)
     deficit = system.rank_deficit
-    count = 1 << deficit
     if deficit > max_enumerated_deficit:
-        return ReadoutResult(_status_for_count(count), None, count, clocks)
-    survivors = frozenset(ProductString(n_bits, m) for m in system.iter_solutions())
-    return ReadoutResult(_status_for_count(count), survivors, count, clocks)
+        return ReadoutResult(None, 1 << deficit, clocks)
+    return ReadoutResult.from_survivors(
+        (ProductString(n_bits, m) for m in system.iter_solutions()), clocks)
+
+
+def _trial_seed(master_seed: int, trial: int) -> int:
+    return SeedSpec(master_seed, ("trial", trial)).derive_seed()
 
 
 def plant_trial(master_seed: int, trial: int, n_bits: int,
@@ -305,39 +288,34 @@ def plant_trial(master_seed: int, trial: int, n_bits: int,
     the reference system and the planted selection mask both derive from
     it, so instances are reproducible and independent across trials.
     """
-    trial_seed = SeedSpec(master_seed, ("trial", trial)).derive_seed()
+    trial_seed = _trial_seed(master_seed, trial)
     refsys = make_reference_system(trial_seed, n_bits, clocks)
     plant_bits = SeedSpec(trial_seed, ("plant",)).bits(n_bits)
-    mask = int.from_bytes(
-        np.packbits(plant_bits, bitorder="little").tobytes(), "little") if n_bits else 0
-    planted = ProductString(n_bits, mask)
+    planted = ProductString(n_bits, _pack_columns(plant_bits[:, None])[0])
     return refsys, planted, realize_product(planted, refsys)
 
 
 def count_failures(n_bits: int, clocks: int, trials: int, master_seed: int) -> int:
-    """Number of planted instances the fast readout fails to decode uniquely."""
+    """Number of planted instances the fast readout fails to decode uniquely.
+
+    Failure means "not unique".  An honestly planted instance is never
+    inconsistent, so it fails exactly when A = sign(L) xor sign(H) (K x N
+    over GF(2)) is rank-deficient; each trial is decided by that rank
+    alone, without planting, realizing or decoding, and gives the same
+    verdict as ``gf2_fast_readout`` on the ``plant_trial`` instance.
+    Trials use seeds derived from (master_seed, trial index), so the count
+    is a pure function of the arguments; with a shared master seed the
+    per-trial reference waves for a larger *clocks* extend those for a
+    smaller one, making the count non-increasing in *clocks*.
+    """
     if trials < 1:
         raise ValueError("need at least one trial")
     failures = 0
     for trial in range(trials):
-        refsys, _, wave = plant_trial(master_seed, trial, n_bits, clocks)
-        result = gf2_fast_readout(wave, refsys, max_enumerated_deficit=0)
-        if not result.is_unique:
-            failures += 1
+        refsys = make_reference_system(_trial_seed(master_seed, trial), n_bits, clocks)
+        sign_l, sign_h = refsys.samples == -1
+        failures += Gf2System(n_bits, _pack_columns(sign_l ^ sign_h)).rank < n_bits
     return failures
-
-
-def measure_failure_rate(n_bits: int, clocks: int, trials: int, master_seed: int) -> float:
-    """Fraction of planted instances the fast readout fails to decode uniquely.
-
-    Failure means "not unique": a rank deficit leaves several survivors
-    (an honestly planted instance can never be inconsistent).  Trials use
-    seeds derived from (master_seed, trial index), so the rate is a pure
-    function of the arguments; with a shared master seed the per-trial
-    reference waves for a larger *clocks* extend those for a smaller one,
-    making the rate non-increasing in *clocks*.
-    """
-    return count_failures(n_bits, clocks, trials, master_seed) / trials
 
 
 def _log4(x: float) -> float:
@@ -353,7 +331,11 @@ def stacho_clock_bound(n_bits: int, epsilon: float) -> float:
         raise ValueError("bound requires N >= 2 (log2 N must be at least 1)")
     if epsilon < 0:
         raise ValueError("epsilon must be non-negative")
-    return n_bits * math.log2(n_bits) ** (1.0 + epsilon)
+    try:
+        bound = n_bits * math.log2(n_bits) ** (1.0 + epsilon)
+    except OverflowError:
+        bound = math.inf
+    return _finite(bound, f"clock bound for N={n_bits}, epsilon={epsilon}")
 
 
 def timeshifted_readout_steps(n_bits: int, p_fail: float) -> float:
@@ -363,7 +345,17 @@ def timeshifted_readout_steps(n_bits: int, p_fail: float) -> float:
         raise ValueError("N must be at least 1")
     if p_fail <= 0:
         raise ValueError("failure probability target must be positive")
-    ratio = n_bits / p_fail
-    if ratio <= 1:
-        raise ValueError("N/P must exceed 1 for a positive step count")
-    return 2 * n_bits * _log4(ratio)
+    try:
+        ratio = n_bits / p_fail
+        if ratio <= 1:
+            raise ValueError("N/P must exceed 1 for a positive step count")
+        steps = 2 * n_bits * _log4(ratio)
+    except OverflowError:
+        steps = math.inf
+    return _finite(steps, f"time-shifted step count for N={n_bits}, P={p_fail}")
+
+
+def _finite(value: float, what: str) -> float:
+    if not math.isfinite(value):
+        raise ValueError(f"{what} is not a finite float")
+    return value

@@ -96,6 +96,17 @@ class TestExitCodes:
         assert out == ""
         assert "must be finite" in err
 
+    @pytest.mark.parametrize("argv,reason", [
+        (["--bits", "1024", "--epsilon", "1e308"], "N=1024, epsilon=1e+308"),
+        (["--bits", "4", "--p-target", "5e-324"], "N=4, P=5e-324"),
+        (["--bits", "4", "--p-target", "5e-324", "--format", "json"], "N=4, P=5e-324"),
+    ])
+    def test_bound_beyond_float_range_exits_2(self, argv, reason, capsys):
+        code, out, err = run_cli(["bounds-table", *argv], capsys)
+        assert code == 2
+        assert out == ""
+        assert reason in err
+
     def test_unknown_flag_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["bounds-table", "--frobnicate"])

@@ -11,9 +11,9 @@ from nbl_lab import (
     IntegerWave,
     ProductString,
     brute_force_readout,
+    count_failures,
     gf2_fast_readout,
     make_reference_system,
-    measure_failure_rate,
     plant_trial,
     realize_product,
     stacho_clock_bound,
@@ -120,11 +120,14 @@ class TestGf2System:
 class TestReadoutResult:
     def test_status_count_coherence(self):
         with pytest.raises(ValueError):
-            ReadoutResult("unique", frozenset(), 0, 4)
+            ReadoutResult(frozenset(), 1, 4)
         with pytest.raises(ValueError):
-            ReadoutResult("ambiguous", None, 1, 4)
+            ReadoutResult(frozenset({ProductString(2, 1)}), 2, 4)
         with pytest.raises(ValueError):
-            ReadoutResult("nonsense", None, 1, 4)
+            ReadoutResult(None, -1, 4)
+        assert ReadoutResult(None, 0, 4).status == "inconsistent"
+        assert ReadoutResult(None, 1, 4).status == "unique"
+        assert ReadoutResult(None, 2, 4).status == "ambiguous"
 
     def test_sole_survivor(self):
         ps = ProductString(2, 1)
@@ -239,6 +242,13 @@ class TestGf2FastReadout:
         with pytest.raises(ValueError):
             gf2_fast_readout(IntegerWave(np.ones(4, dtype=np.int64)), system)
 
+    @pytest.mark.parametrize("n_bits,clocks", [(64, 70), (65, 80), (70, 90)])
+    def test_rows_wider_than_a_machine_word(self, n_bits, clocks):
+        system, planted, wave = plant_trial(SEED, 0, n_bits, clocks)
+        result = gf2_fast_readout(wave, system)
+        assert result.is_unique
+        assert result.sole_survivor() == planted
+
     def test_agrees_with_brute_force_at_enumeration_cap(self):
         # N=16 is the largest size the brute-force oracle accepts.
         for instance in range(2):
@@ -273,30 +283,51 @@ class TestPlantTrial:
             assert planted in brute.survivors
 
 
-class TestMeasureFailureRate:
+def decoder_failures(n_bits, clocks, trials, master_seed):
+    """The scalar oracle: plant each trial and count non-unique decodes."""
+    failures = 0
+    for trial in range(trials):
+        system, _, wave = plant_trial(master_seed, trial, n_bits, clocks)
+        failures += not gf2_fast_readout(wave, system, max_enumerated_deficit=0).is_unique
+    return failures
+
+
+class TestCountFailures:
     def test_zero_clocks_always_fails(self):
-        assert measure_failure_rate(4, 0, 50, SEED) == 1.0
+        assert count_failures(4, 0, 50, SEED) == 50
 
     def test_deterministic(self):
-        a = measure_failure_rate(6, 10, 200, SEED)
-        b = measure_failure_rate(6, 10, 200, SEED)
+        a = count_failures(6, 10, 200, SEED)
+        b = count_failures(6, 10, 200, SEED)
         assert a == b
 
     def test_requires_trials(self):
         with pytest.raises(ValueError):
-            measure_failure_rate(4, 8, 0, SEED)
+            count_failures(4, 8, 0, SEED)
 
     def test_non_increasing_in_clocks(self):
         # Prefix-stable streams share trial randomness across clock
         # budgets, so adding clocks can only remove survivors.
-        rates = [measure_failure_rate(8, clocks, 1000, SEED) for clocks in (8, 12, 16, 24)]
-        assert all(a >= b for a, b in zip(rates, rates[1:]))
+        counts = [count_failures(8, clocks, 1000, SEED) for clocks in (8, 12, 16, 24)]
+        assert all(a >= b for a, b in zip(counts, counts[1:]))
 
     def test_rate_tracks_rank_deficit_reference(self):
         # At K=2N the failure rate is dominated by the rank-deficit
         # probability ~2^-(K-N); Monte Carlo verified constant near 1.
-        rate = measure_failure_rate(8, 16, 10_000, SEED)
-        assert 0.5 * 2**-8 <= rate <= 2.0 * 2**-8
+        failures = count_failures(8, 16, 10_000, SEED)
+        assert 0.5 * 2**-8 * 10_000 <= failures <= 2.0 * 2**-8 * 10_000
+
+    @given(st.data(), st.integers(0, 12), st.integers(0, 2**64 - 1), st.integers(1, 8))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_planted_decoder(self, data, n_bits, master_seed, trials):
+        # With trials=1 this compares the verdicts of single trials.
+        clocks = data.draw(st.integers(0, 2 * n_bits + 2), label="clocks")
+        expected = decoder_failures(n_bits, clocks, trials, master_seed)
+        assert count_failures(n_bits, clocks, trials, master_seed) == expected
+
+    @pytest.mark.parametrize("clocks", [64, 66])
+    def test_matches_planted_decoder_past_one_word(self, clocks):
+        assert count_failures(64, clocks, 8, SEED) == decoder_failures(64, clocks, 8, SEED)
 
 
 class TestBoundCalculators:
@@ -310,6 +341,8 @@ class TestBoundCalculators:
             stacho_clock_bound(1, 0.0)
         with pytest.raises(ValueError):
             stacho_clock_bound(4, -0.1)
+        with pytest.raises(ValueError, match="N=1024, epsilon=1e"):
+            stacho_clock_bound(1024, 1e308)
 
     def test_timeshifted_values(self):
         assert timeshifted_readout_steps(4, 1) == 8.0
@@ -325,3 +358,5 @@ class TestBoundCalculators:
             timeshifted_readout_steps(4, 4.0)
         with pytest.raises(ValueError):
             timeshifted_readout_steps(4, 8.0)
+        with pytest.raises(ValueError, match="N=4, P=5e-324"):
+            timeshifted_readout_steps(4, 5e-324)
