@@ -25,6 +25,17 @@ _DEFAULTS = {
 }
 
 
+# The flags each experiment reads; "bits" and "clocks" stand for the
+# single and the -range form.  Every subcommand also takes --format and --out.
+_FLAGS = {
+    "orthogonality": ("clocks", "trials", "seed"),
+    "universe-check": ("bits", "clocks", "seed"),
+    "readout-scaling": ("bits", "clocks", "trials", "seed"),
+    "sinus-comparison": ("bits",),
+    "bounds-table": ("bits", "epsilon", "p-target"),
+}
+
+
 def _int_list(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(part) for part in text.split(","))
@@ -47,18 +58,26 @@ def build_parser() -> argparse.ArgumentParser:
     subparsers = parser.add_subparsers(dest="experiment", required=True)
     for name in EXPERIMENTS:
         sub = subparsers.add_parser(name, help=f"run the {name} experiment")
-        sub.add_argument("--bits", type=int, help="single noise-bit count N")
-        sub.add_argument("--bits-range", type=_int_list, metavar="N1,N2,...",
-                         help="comma-separated noise-bit counts")
-        sub.add_argument("--clocks", type=int, help="single clock count K")
-        sub.add_argument("--clocks-range", type=_int_list, metavar="K1,K2,...",
-                         help="comma-separated clock counts")
-        sub.add_argument("--trials", type=int, help="trials (or seed pairs) per grid point")
-        sub.add_argument("--seed", type=int, help="64-bit master seed (overrides env)")
-        sub.add_argument("--epsilon", type=_float_list, default=(0.0,), metavar="E1,E2,...",
-                         help="epsilon grid for the clock-bound calculator")
-        sub.add_argument("--p-target", type=_float_list, default=(0.001,), metavar="P1,P2,...",
-                         help="failure-probability targets for the step calculator")
+        reads = _FLAGS[name]
+        if "bits" in reads:
+            sub.add_argument("--bits", type=int, help="single noise-bit count N")
+            sub.add_argument("--bits-range", type=_int_list, metavar="N1,N2,...",
+                             help="comma-separated noise-bit counts")
+        if "clocks" in reads:
+            sub.add_argument("--clocks", type=int, help="single clock count K")
+            sub.add_argument("--clocks-range", type=_int_list, metavar="K1,K2,...",
+                             help="comma-separated clock counts")
+        if "trials" in reads:
+            sub.add_argument("--trials", type=int, help="trials (or seed pairs) per grid point")
+        if "seed" in reads:
+            sub.add_argument("--seed", type=int, help="64-bit master seed (overrides env)")
+        if "epsilon" in reads:
+            sub.add_argument("--epsilon", dest="epsilons", type=_float_list, metavar="E1,E2,...",
+                             help="epsilon grid for the clock-bound calculator (default 0)")
+        if "p-target" in reads:
+            sub.add_argument("--p-target", dest="p_targets", type=_float_list, metavar="P1,P2,...",
+                             help="failure-probability targets for the step calculator "
+                                  "(default 0.001)")
         sub.add_argument("--format", choices=("csv", "json"), default="csv",
                          help="report format (default csv)")
         sub.add_argument("--out", help="output path (default stdout)")
@@ -90,17 +109,19 @@ def _pick_range(single: int | None, many: tuple[int, ...] | None,
 
 def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     defaults = _DEFAULTS[args.experiment]
-    bits = _pick_range(args.bits, args.bits_range, defaults.get("bits", ()), "bits")
-    clocks = _pick_range(args.clocks, args.clocks_range, defaults.get("clocks", ()), "clocks")
-    trials = args.trials if args.trials is not None else defaults.get("trials", 100)
+    given = vars(args)
+    bits = _pick_range(given.get("bits"), given.get("bits_range"), defaults.get("bits", ()), "bits")
+    clocks = _pick_range(given.get("clocks"), given.get("clocks_range"),
+                         defaults.get("clocks", ()), "clocks")
+    trials = given.get("trials")
+    grids = {name: given[name] for name in ("epsilons", "p_targets") if given.get(name) is not None}
     return ExperimentConfig(
         experiment=args.experiment,
         bits=bits,
         clocks=clocks,
-        trials=trials,
-        master_seed=_resolve_seed(args.seed),
-        epsilons=args.epsilon,
-        p_targets=args.p_target,
+        trials=trials if trials is not None else defaults.get("trials", 100),
+        master_seed=_resolve_seed(given.get("seed")),
+        **grids,
     )
 
 
@@ -119,8 +140,12 @@ def main(argv: list[str] | None = None) -> int:
         traceback.print_exc()
         return 1
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(rendered)
+        try:
+            with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(rendered)
+        except OSError as exc:
+            print(f"nbl-lab: cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(rendered)
     return 0

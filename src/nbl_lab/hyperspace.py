@@ -1,9 +1,5 @@
 """Hyperspace product states: basis product strings, binary superpositions,
 and the low-cost product-form synthesis of the full-universe superposition.
-
-Each synthesis path tallies the scalar operations its work takes, so
-complexity claims are asserted on operation counts rather than wall-clock
-time.
 """
 
 from __future__ import annotations
@@ -19,7 +15,6 @@ __all__ = [
     "EnumerationCapError",
     "ProductString",
     "Superposition",
-    "OpCounter",
     "realize_product",
     "realize_superposition",
     "synthesize_universe",
@@ -74,11 +69,14 @@ class ProductString:
 
     @classmethod
     def all_strings(cls, n_bits: int) -> Iterator["ProductString"]:
-        """All 2^N product strings in canonical (mask) order."""
+        """All 2^N product strings in canonical (mask) order.
+
+        N above PRODUCT_STRING_CAP is refused at the call, before any
+        string is built.
+        """
         if n_bits > PRODUCT_STRING_CAP:
             raise EnumerationCapError("product-string enumeration", n_bits, PRODUCT_STRING_CAP)
-        for mask in range(1 << n_bits):
-            yield cls(n_bits, mask)
+        return (cls(n_bits, mask) for mask in range(1 << n_bits))
 
     def selection(self, r: int) -> str:
         """'L' or 'H' for bit index r in 1..N."""
@@ -103,47 +101,18 @@ class Superposition:
             if ps.n_bits != self.n_bits:
                 raise ValueError(f"member {ps} does not have {self.n_bits} bits")
 
-    def with_member(self, ps: ProductString) -> "Superposition":
-        """Set-semantics add: a duplicate member is a no-op."""
-        return Superposition(self.n_bits, self.members | {ps})
-
     def sorted_members(self) -> list[ProductString]:
         return sorted(self.members)
-
-    def to_json_list(self) -> list[str]:
-        """Canonically ordered "LH..." member strings, as used in reports."""
-        return [str(ps) for ps in self.sorted_members()]
 
     def __len__(self) -> int:
         return len(self.members)
 
 
-@dataclass
-class OpCounter:
-    """Tally of scalar additions/multiplications performed by a synthesis path."""
-
-    additions: int = 0
-    multiplications: int = 0
-
-    def count_add(self, n: int = 1) -> None:
-        self.additions += n
-
-    def count_mul(self, n: int = 1) -> None:
-        self.multiplications += n
-
-    def per_clock(self, clocks: int) -> tuple[float, float]:
-        """(additions, multiplications) per clock period."""
-        if clocks == 0:
-            return (0.0, 0.0)
-        return (self.additions / clocks, self.multiplications / clocks)
-
-
-def realize_product(ps: ProductString, refsys: ReferenceSystem,
-                    counter: OpCounter | None = None) -> ClockedWave:
+def realize_product(ps: ProductString, refsys: ReferenceSystem) -> ClockedWave:
     """Samplewise product of the selected reference wave for each bit.
 
-    Folds from the all-ones identity, so the per-clock cost is exactly N
-    multiplications; N = 0 yields the all-ones wave.
+    Gathers the selected L_r or H_r row of every bit and multiplies the
+    rows together; N = 0 yields the all-ones wave (the empty product).
     """
     if ps.n_bits != refsys.n_bits:
         raise ValueError(f"product string has {ps.n_bits} bits, system has {refsys.n_bits}")
@@ -151,49 +120,38 @@ def realize_product(ps: ProductString, refsys: ReferenceSystem,
     mask_bytes = np.frombuffer(ps.mask.to_bytes((n_bits + 7) // 8, "little"), dtype=np.uint8)
     select = np.unpackbits(mask_bytes, bitorder="little")[:n_bits]
     product = refsys.samples[select, np.arange(n_bits)].prod(axis=0, dtype=np.int8)
-    if counter is not None:
-        counter.count_mul(n_bits * refsys.clocks)
     return ClockedWave._wrap(product)
 
 
-def realize_superposition(s: Superposition, refsys: ReferenceSystem,
-                          counter: OpCounter | None = None) -> IntegerWave:
+def realize_superposition(s: Superposition, refsys: ReferenceSystem) -> IntegerWave:
     """Samplewise sum of the realized members; empty superposition is all zeros."""
     if s.n_bits != refsys.n_bits:
         raise ValueError(f"superposition has {s.n_bits} bits, system has {refsys.n_bits}")
     acc = np.zeros(refsys.clocks, dtype=np.int64)
     for ps in s.sorted_members():
-        acc = acc + realize_product(ps, refsys, counter).samples
-        if counter is not None:
-            counter.count_add(refsys.clocks)
+        acc = acc + realize_product(ps, refsys).samples
     return IntegerWave._wrap(acc)
 
 
-def synthesize_universe(refsys: ReferenceSystem,
-                        counter: OpCounter | None = None) -> IntegerWave:
+def synthesize_universe(refsys: ReferenceSystem) -> IntegerWave:
     """Product-form synthesis of the uniform superposition of all 2^N strings.
 
     Evaluates the per-clock product over r of (L_r + H_r): exactly N
     additions and N-1 multiplications per clock period, yet samplewise
     equal to summing all 2^N realized product strings.
     """
-    n_bits, clocks = refsys.n_bits, refsys.clocks
+    n_bits = refsys.n_bits
     # Factor samples lie in {-2, 0, +2}; the running product can reach
     # ±2^N, so fall back to Python integers beyond the int64 range.
     dtype = np.int64 if n_bits <= 62 else object
     low, high = refsys.samples
     universe = (low.astype(dtype) + high).prod(axis=0, dtype=dtype)
-    if counter is not None:
-        counter.count_add(n_bits * clocks)
-        counter.count_mul(max(n_bits - 1, 0) * clocks)
     return IntegerWave._wrap(universe)
 
 
-def expand_universe(n_bits: int, cap: int = PRODUCT_STRING_CAP) -> Superposition:
+def expand_universe(n_bits: int) -> Superposition:
     """The superposition of all 2^N product strings (explicit enumeration)."""
-    if n_bits > cap:
-        raise EnumerationCapError("universe expansion", n_bits, cap)
-    return Superposition(n_bits, (ProductString(n_bits, m) for m in range(1 << n_bits)))
+    return Superposition(n_bits, ProductString.all_strings(n_bits))
 
 
 def enumerate_superpositions(n_bits: int) -> int:
@@ -204,7 +162,7 @@ def enumerate_superpositions(n_bits: int) -> int:
     """
     if n_bits > SUPERPOSITION_COUNT_CAP:
         raise EnumerationCapError("superposition enumeration", n_bits, SUPERPOSITION_COUNT_CAP)
-    strings = [ProductString(n_bits, m) for m in range(1 << n_bits)]
+    strings = list(ProductString.all_strings(n_bits))
     seen = set()
     for subset in range(1 << len(strings)):
         members = frozenset(ps for i, ps in enumerate(strings) if (subset >> i) & 1)

@@ -22,7 +22,7 @@ from typing import Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
-from .hyperspace import EnumerationCapError, ProductString, realize_product
+from .hyperspace import PRODUCT_STRING_CAP, EnumerationCapError, ProductString, realize_product
 from .rtw import ClockedWave, IntegerWave, ReferenceSystem, SeedSpec, make_reference_system
 
 __all__ = [
@@ -34,11 +34,9 @@ __all__ = [
     "count_failures",
     "stacho_clock_bound",
     "timeshifted_readout_steps",
-    "BRUTE_FORCE_CAP",
     "MAX_ENUMERATED_DEFICIT",
 ]
 
-BRUTE_FORCE_CAP = 16
 # Ambiguous survivor sets are materialized only up to this rank deficit;
 # larger sets are reported by count alone.
 MAX_ENUMERATED_DEFICIT = 10
@@ -218,10 +216,10 @@ def brute_force_readout(wave: AnyWave, refsys: ReferenceSystem) -> ReadoutResult
     Args:
         wave: observed waveform (a corrupted, non-bipolar sample
             eliminates every candidate).
-        refsys: reference system; n_bits must not exceed BRUTE_FORCE_CAP.
+        refsys: reference system; n_bits must not exceed PRODUCT_STRING_CAP.
     """
-    if refsys.n_bits > BRUTE_FORCE_CAP:
-        raise EnumerationCapError("brute-force readout", refsys.n_bits, BRUTE_FORCE_CAP)
+    if refsys.n_bits > PRODUCT_STRING_CAP:
+        raise EnumerationCapError("brute-force readout", refsys.n_bits, PRODUCT_STRING_CAP)
     target = _check_wave_length(wave, refsys)
     n_bits, clocks = refsys.n_bits, refsys.clocks
     if target.size and not np.all((target == 1) | (target == -1)):

@@ -142,9 +142,6 @@ class ClockedWave:
     def __hash__(self) -> int:
         return hash((ClockedWave, self._samples.tobytes()))
 
-    def __neg__(self) -> "ClockedWave":
-        return ClockedWave._wrap(-self._samples)
-
     def __mul__(self, other: "ClockedWave") -> "ClockedWave":
         return multiply(self, other)
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hyperspace import EnumerationCapError, ProductString
+from .hyperspace import ProductString
 
 __all__ = [
     "LINEAR",
@@ -25,12 +25,10 @@ __all__ = [
     "max_system_frequency",
     "readout_sample_count",
     "realize_sinus_product",
-    "DEGENERACY_SCAN_CAP",
 ]
 
 LINEAR = "linear"
 EXPONENTIAL = "exponential"
-DEGENERACY_SCAN_CAP = 16
 
 
 @dataclass(frozen=True)
@@ -90,22 +88,11 @@ class DegeneracyReport:
     def total_collided(self) -> int:
         return sum(len(g.members) for g in self.groups)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "N": self.n_bits,
-            "groups": [
-                {"frequency": g.frequency, "members": [str(ps) for ps in g.members]}
-                for g in self.groups
-            ],
-        }
-
 
 def find_degeneracies(rep: SinusRepresentation) -> DegeneracyReport:
     """Group all 2^N product strings by product frequency and report every
-    frequency carrying two or more strings."""
-    if rep.n_bits > DEGENERACY_SCAN_CAP:
-        raise EnumerationCapError("degeneracy scan", rep.n_bits, DEGENERACY_SCAN_CAP)
+    frequency carrying two or more strings.  N is capped at
+    PRODUCT_STRING_CAP by the enumeration."""
     by_frequency: dict[int, list[ProductString]] = {}
     for ps in ProductString.all_strings(rep.n_bits):
         by_frequency.setdefault(product_frequency(rep, ps), []).append(ps)

@@ -15,28 +15,23 @@ from nbl_lab import (
     EXPONENTIAL,
     LINEAR,
     ExperimentConfig,
-    OpCounter,
     ProductString,
     SeedSpec,
     SinusRepresentation,
     brute_force_readout,
     count_failures,
     enumerate_superpositions,
-    expand_universe,
     find_degeneracies,
     generate_rtw,
     gf2_fast_readout,
-    make_reference_system,
     max_system_frequency,
     plant_trial,
-    realize_superposition,
     run_bounds_table,
     run_orthogonality,
     run_readout_scaling,
     run_sinus_comparison,
     run_universe_check,
     stacho_clock_bound,
-    synthesize_universe,
     time_average_product,
     timeshifted_readout_steps,
     value_frequency,
@@ -100,20 +95,18 @@ def test_c04_frequency_table_reproduction():
 
 def test_c05_universe_equivalence_and_op_costs():
     started = time.perf_counter()
-    clocks = 128
     for seed in (SEED, 1, 2, 3, 42):
-        for n_bits in range(13):
-            system = make_reference_system(seed, n_bits, clocks)
-            direct_ops = OpCounter()
-            direct = synthesize_universe(system, direct_ops)
-            oracle_ops = OpCounter()
-            oracle = realize_superposition(expand_universe(n_bits), system, oracle_ops)
-            assert direct == oracle, f"mismatch at seed={seed} N={n_bits}"
-            adds, muls = direct_ops.per_clock(clocks)
-            assert adds == n_bits
-            assert muls == max(n_bits - 1, 0)
-            _, oracle_muls = oracle_ops.per_clock(clocks)
-            assert abs(oracle_muls - n_bits * 2**n_bits) <= 0.1 * n_bits * 2**n_bits
+        config = ExperimentConfig("universe-check", bits=range(13), clocks=(128,), trials=1,
+                                  master_seed=seed)
+        records = run_universe_check(config).records
+        assert [record["N"] for record in records] == list(range(13))
+        for record in records:
+            n_bits = record["N"]
+            assert record["equal"] is True, f"mismatch at seed={seed} N={n_bits}"
+            assert record["direct_adds_per_clock"] == n_bits
+            assert record["direct_muls_per_clock"] == max(n_bits - 1, 0)
+            assert record["oracle_adds_per_clock"] == 2**n_bits
+            assert record["oracle_muls_per_clock"] == n_bits * 2**n_bits
     elapsed = time.perf_counter() - started
     assert elapsed < 60.0
     announce(5, f"product-form universe == expanded sum for N<=12 x 5 seeds; "

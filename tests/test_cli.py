@@ -1,6 +1,7 @@
 """CLI surface: flags, seed resolution, exit codes, output files."""
 
 import json
+import re
 import shutil
 import subprocess
 import sys
@@ -9,6 +10,20 @@ import pytest
 
 from nbl_lab import DEFAULT_MASTER_SEED
 from nbl_lab.cli import SEED_ENV_VAR, main
+
+
+FLAG_VALUES = {"--bits": "2", "--bits-range": "2,4", "--clocks": "8", "--clocks-range": "8,16",
+               "--trials": "3", "--seed": "5", "--epsilon": "0.5", "--p-target": "0.01"}
+FLAGS_READ = {
+    "orthogonality": {"--clocks", "--clocks-range", "--trials", "--seed"},
+    "universe-check": {"--bits", "--bits-range", "--clocks", "--clocks-range", "--seed"},
+    "readout-scaling": {"--bits", "--bits-range", "--clocks", "--clocks-range", "--trials",
+                        "--seed"},
+    "sinus-comparison": {"--bits", "--bits-range"},
+    "bounds-table": {"--bits", "--bits-range", "--epsilon", "--p-target"},
+}
+INERT_FLAGS = [(experiment, flag) for experiment, reads in FLAGS_READ.items()
+               for flag in FLAG_VALUES if flag not in reads]
 
 
 def run_cli(argv, capsys):
@@ -133,10 +148,34 @@ class TestExitCodes:
         assert code == 1
         assert "internal failure" in err
 
+    @pytest.mark.parametrize("experiment,flag", INERT_FLAGS)
+    def test_flag_the_experiment_does_not_read_exits_2(self, experiment, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([experiment, flag, FLAG_VALUES[flag]])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
+    def test_unwritable_out_path_exits_2(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "x.csv"
+        code, out, err = run_cli(["bounds-table", "--bits", "2", "--out", str(target)], capsys)
+        assert code == 2
+        assert out == ""
+        assert str(target) in err
+
     def test_rejects_trials_zero(self, capsys):
         code, _, _ = run_cli(["readout-scaling", "--bits", "3", "--clocks", "6",
                               "--trials", "0"], capsys)
         assert code == 2
+
+
+class TestHelp:
+    @pytest.mark.parametrize("experiment", sorted(FLAGS_READ))
+    def test_lists_only_the_flags_the_experiment_reads(self, experiment, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([experiment, "--help"])
+        assert exc.value.code == 0
+        listed = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
+        assert listed == FLAGS_READ[experiment] | {"--help", "--format", "--out"}
 
 
 class TestDeterminism:

@@ -45,6 +45,20 @@ class TestExperimentConfig:
             ExperimentConfig("x", epsilons=(0.1, float("nan")))
         with pytest.raises(ValueError, match="p_targets"):
             ExperimentConfig("x", p_targets=(float("inf"),))
+        with pytest.raises(ValueError, match="trials"):
+            ExperimentConfig("x", trials=2.5)
+        with pytest.raises(ValueError, match="trials"):
+            ExperimentConfig("x", trials=True)
+        with pytest.raises(ValueError, match="clocks"):
+            ExperimentConfig("x", clocks=(8.9,))
+        with pytest.raises(ValueError, match="bits"):
+            ExperimentConfig("x", bits=(4.0,))
+        with pytest.raises(ValueError, match="bits"):
+            ExperimentConfig("x", bits=(False,))
+        with pytest.raises(ValueError, match="master_seed"):
+            ExperimentConfig("x", master_seed=True)
+        with pytest.raises(ValueError, match="master_seed"):
+            ExperimentConfig("x", master_seed=7.0)
 
     def test_echo_is_plain_json_types(self):
         echo = ExperimentConfig("x", bits=(1, 2), clocks=(3,)).echo()
@@ -114,7 +128,7 @@ class TestOrthogonality:
 
 class TestUniverseCheck:
     def test_all_points_pass_with_exact_op_ratio(self):
-        config = ExperimentConfig("universe-check", bits=(2, 4, 8), clocks=(128,),
+        config = ExperimentConfig("universe-check", bits=(1, 2, 4, 6, 8, 10), clocks=(128,),
                                   trials=1, master_seed=SEED)
         report = run_universe_check(config)
         assert report.summary == {"all_equal": True}
@@ -122,7 +136,7 @@ class TestUniverseCheck:
             n = record["N"]
             assert record["equal"] is True
             assert record["direct_adds_per_clock"] == n
-            assert record["direct_muls_per_clock"] == n - 1
+            assert record["direct_muls_per_clock"] == max(n - 1, 0)
             assert record["oracle_adds_per_clock"] == 2**n
             assert record["oracle_muls_per_clock"] == n * 2**n
             assert record["op_ratio"] == ((n + 1) * 2**n) / (2 * n - 1)
@@ -131,6 +145,9 @@ class TestUniverseCheck:
         config = ExperimentConfig("universe-check", bits=(0,), clocks=(32,), trials=1)
         record = run_universe_check(config).records[0]
         assert record["equal"] is True
+        counts = ("direct_adds_per_clock", "direct_muls_per_clock",
+                  "oracle_adds_per_clock", "oracle_muls_per_clock")
+        assert tuple(record[c] for c in counts) == (0, 0, 1, 0)
         assert record["op_ratio"] == 1.0
 
     def test_cap(self):

@@ -142,10 +142,6 @@ class TestClockedWave:
         assert ClockedWave([1, -1]) != ClockedWave([-1, 1])
         assert hash(ClockedWave([1, -1])) == hash(ClockedWave([1, -1]))
 
-    def test_negation(self):
-        wave = ClockedWave([1, -1, 1])
-        assert (-wave) == ClockedWave([-1, 1, -1])
-
 
 class TestIntegerWave:
     def test_accepts_any_integers(self):
@@ -211,7 +207,7 @@ class TestTimeAverageProduct:
 
     def test_negated_is_exactly_minus_one(self):
         wave = fixed_wave("tap-neg", 1000)
-        assert time_average_product(wave, -wave) == -1.0
+        assert time_average_product(wave, ClockedWave(-wave.samples)) == -1.0
 
     def test_empty_is_error(self):
         empty = ClockedWave([])

@@ -124,14 +124,6 @@ class TestFindDegeneracies:
         with pytest.raises(EnumerationCapError, match="16"):
             find_degeneracies(rep(LINEAR, 17))
 
-    def test_json_shape(self):
-        data = find_degeneracies(rep(LINEAR, 2)).to_json_dict()
-        assert data == {
-            "kind": "linear",
-            "N": 2,
-            "groups": [{"frequency": 5, "members": ["HL", "LH"]}],
-        }
-
 
 class TestBandwidth:
     @pytest.mark.parametrize("n_bits", range(0, 17))
