@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from nbl_lab import (
     ClockedWave,
     EnumerationCapError,
+    ExperimentConfig,
     IntegerWave,
     ProductString,
     ReferenceSystem,
@@ -18,6 +19,7 @@ from nbl_lab import (
     multiply,
     realize_product,
     realize_superposition,
+    run_universe_check,
     synthesize_universe,
 )
 
@@ -157,6 +159,26 @@ class TestSynthesizeUniverse:
         direct = synthesize_universe(system)
         oracle = realize_superposition(expand_universe(n_bits), system)
         assert direct == oracle
+
+    def test_instrumented_op_counts(self):
+        config = ExperimentConfig("universe-check", bits=(8,), clocks=(256,),
+                                  trials=1, master_seed=SEED)
+        record = run_universe_check(config).records[0]
+        assert record["equal"] is True
+        assert (record["direct_adds_per_clock"], record["direct_muls_per_clock"]) == (8, 7)
+
+    @pytest.mark.parametrize("n_bits", [4, 6, 8, 10])
+    def test_cost_model_slopes(self, n_bits):
+        # Product form is linear in N; the expanded oracle pays N*2^N
+        # multiplications (plus 2^N accumulations) per clock.
+        config = ExperimentConfig("universe-check", bits=(n_bits,), clocks=(16,),
+                                  trials=1, master_seed=SEED)
+        record = run_universe_check(config).records[0]
+        assert record["equal"] is True
+        assert record["direct_adds_per_clock"] == n_bits
+        assert record["direct_muls_per_clock"] == n_bits - 1
+        assert record["oracle_muls_per_clock"] == n_bits * 2**n_bits
+        assert record["oracle_adds_per_clock"] == 2**n_bits
 
     def test_beyond_int64_uses_exact_integers(self):
         # 70 factors of magnitude up to 2 overflow int64; the samplewise
