@@ -1,8 +1,9 @@
 """Command line experiment runner: ``nbl-lab <experiment> [flags]``.
 
 Exit codes: 0 on success, 2 on configuration errors (bad flags, values
-out of cap), 1 on internal failure.  The master seed resolves as
-flag > NBL_LAB_SEED environment variable > built-in default.
+out of cap), 1 on internal failure.  For the experiments that take
+--seed, the master seed resolves as flag > NBL_LAB_SEED environment
+variable > built-in default.
 """
 
 from __future__ import annotations
@@ -115,12 +116,14 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
                          defaults.get("clocks", ()), "clocks")
     trials = given.get("trials")
     grids = {name: given[name] for name in ("epsilons", "p_targets") if given.get(name) is not None}
+    # A seedless experiment never consults NBL_LAB_SEED; it echoes the default.
+    seeded = "seed" in _FLAGS[args.experiment]
     return ExperimentConfig(
         experiment=args.experiment,
         bits=bits,
         clocks=clocks,
         trials=trials if trials is not None else defaults.get("trials", 100),
-        master_seed=_resolve_seed(given.get("seed")),
+        master_seed=_resolve_seed(given.get("seed")) if seeded else DEFAULT_MASTER_SEED,
         **grids,
     )
 

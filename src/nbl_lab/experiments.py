@@ -32,6 +32,9 @@ __all__ = [
     "DEFAULT_MASTER_SEED",
     "SCHEMA_VERSION",
     "UNIVERSE_CHECK_CAP",
+    "ORTHOGONALITY_SAMPLE_CAP",
+    "READOUT_HASH_CAP",
+    "UNIVERSE_OP_CAP",
     "ExperimentConfig",
     "ExperimentReport",
     "run_orthogonality",
@@ -45,6 +48,12 @@ __all__ = [
 DEFAULT_MASTER_SEED = 0xD1CEBA5E
 SCHEMA_VERSION = 1
 UNIVERSE_CHECK_CAP = 12
+# Caps on each experiment's up-front cost estimate (see _refuse_over_cap),
+# each at least 8x the largest config the CLI defaults, the README, the
+# acceptance grids and the benchmark run.
+ORTHOGONALITY_SAMPLE_CAP = 2**31  # wave samples, 2 * pairs * sum(K)
+READOUT_HASH_CAP = 2**29  # blake2b calls, sum of trials * (1 + 2N * (1 + ceil(K/512)))
+UNIVERSE_OP_CAP = 2**27  # oracle operations, K * sum((N + 1) * 2^N)
 
 _KIND_ORDER = {LINEAR: 0, EXPONENTIAL: 1}
 
@@ -157,6 +166,12 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
+def _refuse_over_cap(what: str, estimate: int, cap: int) -> None:
+    """Refuse a config, before any work, when its cost estimate exceeds its cap."""
+    if estimate > cap:
+        raise ValueError(f"{what} = {estimate} exceeds cap {cap}")
+
+
 def _report(config: ExperimentConfig, columns: list[str], records: list[dict],
             summary: dict, started: float) -> ExperimentReport:
     return ExperimentReport(
@@ -181,6 +196,8 @@ def run_orthogonality(config: ExperimentConfig) -> ExperimentReport:
         raise ValueError("orthogonality requires at least one clock count")
     if any(k < 1 for k in config.clocks):
         raise ValueError("orthogonality requires clock counts >= 1")
+    _refuse_over_cap("orthogonality: wave samples 2*pairs*sum(K)",
+                     2 * config.trials * sum(config.clocks), ORTHOGONALITY_SAMPLE_CAP)
     root = SeedSpec(config.master_seed)
     records = []
     for clocks in sorted(config.clocks):
@@ -216,6 +233,9 @@ def run_universe_check(config: ExperimentConfig) -> ExperimentReport:
     clocks = config.clocks[0]
     if clocks < 1:
         raise ValueError("universe check requires clocks >= 1")
+    # The expanded-sum oracle's 2^N accumulations and N*2^N multiplications per clock.
+    _refuse_over_cap("universe check: oracle operations K*sum((N+1)*2^N)",
+                     clocks * sum((n + 1) << n for n in config.bits), UNIVERSE_OP_CAP)
     records = []
     for n_bits in sorted(config.bits):
         refsys = make_reference_system(config.master_seed, n_bits, clocks)
@@ -255,6 +275,11 @@ def run_readout_scaling(config: ExperimentConfig) -> ExperimentReport:
     started = time.perf_counter()
     if not config.bits or not config.clocks:
         raise ValueError("readout scaling requires bit and clock counts")
+    # Per trial: one trial key, then per substream one key and a blake2b
+    # call per 512 samples; the +1 terms keep N = 0 or K = 0 from reading 0.
+    _refuse_over_cap("readout scaling: blake2b calls sum(trials*(1+2N*(1+ceil(K/512))))",
+                     sum(config.trials * (1 + 2 * n * (1 + -(-k // 512)))
+                         for n in config.bits for k in config.clocks), READOUT_HASH_CAP)
     records = []
     for n_bits in sorted(config.bits):
         for clocks in sorted(config.clocks):

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Iterator, Union
 
 import numpy as np
 
@@ -54,7 +54,6 @@ class ReadoutResult:
 
     survivors: frozenset[ProductString] | None
     survivor_count: int
-    clocks_used: int
 
     def __post_init__(self) -> None:
         if self.survivor_count < 0:
@@ -63,9 +62,9 @@ class ReadoutResult:
             raise ValueError("materialized survivor set does not match survivor_count")
 
     @classmethod
-    def from_survivors(cls, survivors: Iterable[ProductString], clocks_used: int) -> "ReadoutResult":
+    def from_survivors(cls, survivors: Iterable[ProductString]) -> "ReadoutResult":
         fs = frozenset(survivors)
-        return cls(fs, len(fs), clocks_used)
+        return cls(fs, len(fs))
 
     @property
     def status(self) -> str:
@@ -130,27 +129,9 @@ class Gf2System:
         self.pivot_cols = tuple(pivot_cols)
         self.consistent = consistent
 
-    @classmethod
-    def from_pairs(cls, pairs: Iterable[tuple[Sequence[int], int]], n_vars: int) -> "Gf2System":
-        """Build from (coefficient bit sequence, rhs bit) pairs."""
-        rows = []
-        for coeffs, rhs in pairs:
-            row = 0
-            for i, c in enumerate(coeffs):
-                if c not in (0, 1):
-                    raise ValueError("coefficients must be 0 or 1")
-                row |= c << i
-            if rhs not in (0, 1):
-                raise ValueError("rhs must be 0 or 1")
-            rows.append(row | (rhs << n_vars))
-        return cls(n_vars, rows)
-
     @property
     def rank_deficit(self) -> int:
         return self.n_vars - self.rank
-
-    def solution_count(self) -> int:
-        return (1 << self.rank_deficit) if self.consistent else 0
 
     def particular_solution(self) -> int:
         """The solution with every free variable set to 0, as a bitmask."""
@@ -223,7 +204,7 @@ def brute_force_readout(wave: AnyWave, refsys: ReferenceSystem) -> ReadoutResult
     target = _check_wave_length(wave, refsys)
     n_bits, clocks = refsys.n_bits, refsys.clocks
     if target.size and not np.all((target == 1) | (target == -1)):
-        return ReadoutResult.from_survivors((), clocks)
+        return ReadoutResult.from_survivors(())
     # Row m becomes candidate m's product (H_j adds 2^(j-1) to m), filled by in-place doubling.
     products = np.empty((1 << n_bits, clocks), dtype=np.int8)
     products[0] = 1
@@ -236,7 +217,7 @@ def brute_force_readout(wave: AnyWave, refsys: ReferenceSystem) -> ReadoutResult
     products *= target.astype(np.int8)
     matches = np.flatnonzero(products.min(axis=1, initial=1) == 1)
     return ReadoutResult.from_survivors(
-        (ProductString(n_bits, int(mask)) for mask in matches), clocks)
+        ProductString(n_bits, int(mask)) for mask in matches)
 
 
 def gf2_fast_readout(wave: AnyWave, refsys: ReferenceSystem,
@@ -257,21 +238,21 @@ def gf2_fast_readout(wave: AnyWave, refsys: ReferenceSystem,
     the result then carries survivors=None and the exact count 2^d.
     """
     samples = _check_wave_length(wave, refsys)
-    n_bits, clocks = refsys.n_bits, refsys.clocks
+    n_bits = refsys.n_bits
     if samples.size and not np.all(np.abs(samples) == 1):
         # No product of bipolar waves can match a non-bipolar sample.
-        return ReadoutResult.from_survivors((), clocks)
+        return ReadoutResult.from_survivors(())
     sign_l, sign_h = refsys.samples == -1
     rhs = (samples == -1) ^ np.logical_xor.reduce(sign_l, axis=0)
     # Row t: bit r-1 is a_r(t), bit N is the right-hand side.
     system = Gf2System(n_bits, _pack_columns(np.vstack([sign_l ^ sign_h, rhs])))
     if not system.consistent:
-        return ReadoutResult.from_survivors((), clocks)
+        return ReadoutResult.from_survivors(())
     deficit = system.rank_deficit
     if deficit > max_enumerated_deficit:
-        return ReadoutResult(None, 1 << deficit, clocks)
+        return ReadoutResult(None, 1 << deficit)
     return ReadoutResult.from_survivors(
-        (ProductString(n_bits, m) for m in system.iter_solutions()), clocks)
+        ProductString(n_bits, m) for m in system.iter_solutions())
 
 
 def _trial_seed(master_seed: int, trial: int) -> int:

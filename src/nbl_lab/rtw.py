@@ -99,33 +99,30 @@ class SeedSpec:
         return np.unpackbits(np.frombuffer(buf, dtype=np.uint8))[:count]
 
 
-class ClockedWave:
-    """Immutable sequence of bipolar unit samples, one per clock period."""
+def _frozen_bipolar(raw: np.ndarray, what: str) -> np.ndarray:
+    """*raw* as a read-only int8 copy, refusing any value other than ±1
+    before the narrowing cast (int8 would wrap 255 to -1)."""
+    if raw.size and not np.all((raw == 1) | (raw == -1)):
+        raise ValueError(f"every {what} sample must be -1 or +1")
+    arr = raw.astype(np.int8)
+    arr.setflags(write=False)
+    return arr
+
+
+class _Wave:
+    """Read-only one-dimensional sample array.  Equal only to a wave of the
+    same type with equal samples; the hash reads sample values, not bytes,
+    so it agrees with equality for int8, int64 and object arrays alike."""
 
     __slots__ = ("_samples",)
 
-    def __init__(self, samples: Iterable[int]):
-        raw = np.asarray(samples)
-        if raw.ndim != 1:
-            raise ValueError("samples must be one-dimensional")
-        # Validate before any narrowing cast (int8 would wrap 255 to -1).
-        if raw.size and not np.all((raw == 1) | (raw == -1)):
-            raise ValueError("every ClockedWave sample must be -1 or +1")
-        arr = raw.astype(np.int8)
-        arr.setflags(write=False)
-        self._samples = arr
-
     @classmethod
-    def _wrap(cls, arr: np.ndarray) -> "ClockedWave":
-        # Trusted constructor for arrays already known to be bipolar int8.
+    def _wrap(cls, arr: np.ndarray):
+        # Trusted constructor for arrays already valid for this type.
         wave = object.__new__(cls)
         arr.setflags(write=False)
         wave._samples = arr
         return wave
-
-    @classmethod
-    def all_ones(cls, length: int) -> "ClockedWave":
-        return cls._wrap(np.ones(length, dtype=np.int8))
 
     @property
     def samples(self) -> np.ndarray:
@@ -135,24 +132,36 @@ class ClockedWave:
         return self._samples.size
 
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ClockedWave):
+        if type(other) is not type(self):
             return NotImplemented
         return np.array_equal(self._samples, other._samples)
 
     def __hash__(self) -> int:
-        return hash((ClockedWave, self._samples.tobytes()))
+        return hash((type(self), tuple(self._samples.tolist())))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(K={len(self)})"
+
+
+class ClockedWave(_Wave):
+    """Immutable sequence of bipolar unit samples, one per clock period."""
+
+    __slots__ = ()
+
+    def __init__(self, samples: Iterable[int]):
+        raw = np.asarray(samples)
+        if raw.ndim != 1:
+            raise ValueError("samples must be one-dimensional")
+        self._samples = _frozen_bipolar(raw, "ClockedWave")
 
     def __mul__(self, other: "ClockedWave") -> "ClockedWave":
         return multiply(self, other)
 
-    def __repr__(self) -> str:
-        return f"ClockedWave(K={len(self)})"
 
-
-class IntegerWave:
+class IntegerWave(_Wave):
     """Immutable integer-valued waveform (sums of clocked waves)."""
 
-    __slots__ = ("_samples",)
+    __slots__ = ()
 
     def __init__(self, samples: Iterable[int]):
         arr = np.asarray(samples)
@@ -170,31 +179,6 @@ class IntegerWave:
             raise ValueError(f"samples must be integers, got dtype {arr.dtype}")
         arr.setflags(write=False)
         self._samples = arr
-
-    @classmethod
-    def _wrap(cls, arr: np.ndarray) -> "IntegerWave":
-        wave = object.__new__(cls)
-        arr.setflags(write=False)
-        wave._samples = arr
-        return wave
-
-    @property
-    def samples(self) -> np.ndarray:
-        return self._samples
-
-    def __len__(self) -> int:
-        return self._samples.size
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, IntegerWave):
-            return NotImplemented
-        return len(self) == len(other) and bool(np.all(self._samples == other._samples))
-
-    def __hash__(self) -> int:
-        return hash((IntegerWave, tuple(int(s) for s in self._samples)))
-
-    def __repr__(self) -> str:
-        return f"IntegerWave(K={len(self)})"
 
 
 def generate_rtw(seed: SeedSpec, clocks: int) -> ClockedWave:
@@ -220,12 +204,7 @@ class ReferenceSystem:
         raw = np.asarray(samples)
         if raw.ndim != 3 or raw.shape[0] != 2:
             raise ValueError(f"samples must have shape (2, N, K), got {raw.shape}")
-        # Validate before any narrowing cast (int8 would wrap 255 to -1).
-        if raw.size and not np.all((raw == 1) | (raw == -1)):
-            raise ValueError("every reference sample must be -1 or +1")
-        arr = raw.astype(np.int8)
-        arr.setflags(write=False)
-        self._samples = arr
+        self._samples = _frozen_bipolar(raw, "reference")
 
     @property
     def samples(self) -> np.ndarray:
@@ -241,24 +220,17 @@ class ReferenceSystem:
         return self._samples.shape[2]
 
     def low(self, r: int) -> ClockedWave:
-        """L_r for bit index r in 1..N."""
-        return self.wave(r, "L")
+        """A read-only view of L_r, for bit index r in 1..N."""
+        return ClockedWave._wrap(self._samples[0, self._row(r)])
 
     def high(self, r: int) -> ClockedWave:
-        """H_r for bit index r in 1..N."""
-        return self.wave(r, "H")
+        """A read-only view of H_r, for bit index r in 1..N."""
+        return ClockedWave._wrap(self._samples[1, self._row(r)])
 
-    def wave(self, r: int, role: str) -> ClockedWave:
-        """A read-only view of L_r or H_r."""
-        if role not in ("L", "H"):
-            raise ValueError(f"role must be 'L' or 'H', got {role!r}")
+    def _row(self, r: int) -> int:
         if not 1 <= r <= self.n_bits:
             raise ValueError(f"bit index {r} out of range 1..{self.n_bits}")
-        return ClockedWave._wrap(self._samples[int(role == "H"), r - 1])
-
-    def all_waves(self) -> tuple[ClockedWave, ...]:
-        """All 2N waves, L_1..L_N then H_1..H_N."""
-        return tuple(ClockedWave._wrap(row) for half in self._samples for row in half)
+        return r - 1
 
     def __repr__(self) -> str:
         return f"ReferenceSystem(N={self.n_bits}, K={self.clocks})"

@@ -8,8 +8,8 @@ import sys
 
 import pytest
 
-from nbl_lab import DEFAULT_MASTER_SEED
-from nbl_lab.cli import SEED_ENV_VAR, main
+from nbl_lab import DEFAULT_MASTER_SEED, experiments
+from nbl_lab.cli import SEED_ENV_VAR, build_parser, config_from_args, main
 
 
 FLAG_VALUES = {"--bits": "2", "--bits-range": "2,4", "--clocks": "8", "--clocks-range": "8,16",
@@ -22,6 +22,11 @@ FLAGS_READ = {
     "sinus-comparison": {"--bits", "--bits-range"},
     "bounds-table": {"--bits", "--bits-range", "--epsilon", "--p-target"},
 }
+SEEDED_ARGV = [
+    ["orthogonality", "--clocks", "64", "--trials", "2"],
+    ["universe-check", "--bits", "2", "--clocks", "8"],
+    ["readout-scaling", "--bits", "2", "--clocks", "4", "--trials", "2"],
+]
 INERT_FLAGS = [(experiment, flag) for experiment, reads in FLAGS_READ.items()
                for flag in FLAG_VALUES if flag not in reads]
 
@@ -90,6 +95,30 @@ class TestSeedResolution:
         code, _, err = run_cli(["orthogonality", "--clocks", "64", "--trials", "2"], capsys)
         assert code == 2
         assert "configuration error" in err
+
+    @pytest.mark.parametrize("argv", SEEDED_ARGV, ids=lambda argv: argv[0])
+    def test_bad_env_seed_exits_2_for_every_seeded_experiment(self, argv, capsys, monkeypatch):
+        monkeypatch.setenv(SEED_ENV_VAR, "not-a-number")
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert f"{SEED_ENV_VAR} must be an integer" in err
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("experiment", ["sinus-comparison", "bounds-table"])
+    def test_seedless_experiment_ignores_env(self, experiment, fmt, capsys, monkeypatch):
+        argv = [experiment, "--bits", "2", "--format", fmt]
+        monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+        _, plain, _ = run_cli(argv, capsys)
+        monkeypatch.setenv(SEED_ENV_VAR, "x")
+        code, out, err = run_cli(argv, capsys)
+        assert (code, err) == (0, "")
+        if fmt == "json":
+            # wall_time_s is the one field that differs between runs.
+            plain, out = (re.sub(r'"wall_time_s": [^\n]*', '"wall_time_s": 0', text)
+                          for text in (plain, out))
+            assert json.loads(out)["config"]["master_seed"] == DEFAULT_MASTER_SEED
+        assert out == plain
 
 
 class TestExitCodes:
@@ -166,6 +195,98 @@ class TestExitCodes:
         code, _, _ = run_cli(["readout-scaling", "--bits", "3", "--clocks", "6",
                               "--trials", "0"], capsys)
         assert code == 2
+
+
+class _WorkStarted(Exception):
+    pass
+
+
+def _no_work(*args, **kwargs):
+    raise _WorkStarted
+
+
+def _config(argv):
+    return config_from_args(build_parser().parse_args(argv))
+
+
+# Configs the CLI defaults, the README, the acceptance grids and the
+# benchmark run, with each one's cost estimate worked by hand.
+COMMITTED = [
+    # orthogonality, 2 * pairs * sum(K) wave samples
+    (["orthogonality"], "ORTHOGONALITY_SAMPLE_CAP", 2 * 100 * 10_100),
+    (["orthogonality", "--clocks-range", "100,10000,1000000", "--trials", "16"],
+     "ORTHOGONALITY_SAMPLE_CAP", 2 * 16 * 1_010_100),
+    (["orthogonality", "--clocks-range", "100,10000,1000000", "--trials", "100"],
+     "ORTHOGONALITY_SAMPLE_CAP", 2 * 100 * 1_010_100),
+    # universe-check, K * sum((N + 1) * 2^N) oracle operations
+    (["universe-check"], "UNIVERSE_OP_CAP", 128 * (1 + 12 + 80 + 2304)),
+    (["universe-check", "--bits-range", "0,2,4,8,12", "--clocks", "128"],
+     "UNIVERSE_OP_CAP", 128 * (1 + 12 + 80 + 2304 + 53248)),
+    (["universe-check", "--bits-range", ",".join(map(str, range(13))), "--clocks", "128"],
+     "UNIVERSE_OP_CAP", 128 * (12 * 2**13 + 1)),
+    # readout-scaling, sum of trials * (1 + 2N * (1 + ceil(K/512))) blake2b calls;
+    # at K <= 512 the bracket is 25, 33 and 41 for N = 6, 8 and 10
+    (["readout-scaling"], "READOUT_HASH_CAP", 1000 * 2 * (25 + 33)),
+    (["readout-scaling", "--bits-range", "6,8,10", "--clocks-range", "12,16,20",
+      "--trials", "10000"], "READOUT_HASH_CAP", 10_000 * 3 * (25 + 33 + 41)),
+    (["readout-scaling", "--bits-range", "6,8,10", "--clocks-range", "8,12,16,20",
+      "--trials", "100000"], "READOUT_HASH_CAP", 100_000 * 4 * (25 + 33 + 41)),
+]
+
+
+class TestCostCaps:
+    @pytest.fixture(autouse=True)
+    def _forbid_work(self, monkeypatch):
+        # Every test here must be decided by the cap check alone.
+        monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+        for name in ("generate_rtw", "make_reference_system", "count_failures"):
+            monkeypatch.setattr(experiments, name, _no_work)
+
+    @pytest.mark.parametrize("argv,cap,estimate", COMMITTED,
+                             ids=[" ".join(argv) for argv, _, _ in COMMITTED])
+    def test_committed_configs_sit_8x_under_their_cap(self, argv, cap, estimate, monkeypatch):
+        assert 8 * estimate <= getattr(experiments, cap)
+        config = _config(argv)
+        monkeypatch.setattr(experiments, cap, estimate)
+        with pytest.raises(_WorkStarted):
+            experiments.EXPERIMENTS[argv[0]](config)
+        monkeypatch.setattr(experiments, cap, estimate - 1)
+        with pytest.raises(ValueError, match=f"= {estimate} exceeds cap {estimate - 1}$"):
+            experiments.EXPERIMENTS[argv[0]](config)
+
+    @pytest.mark.parametrize("argv,cap", [
+        (["orthogonality", "--clocks", str(2**30), "--trials", "1"], "ORTHOGONALITY_SAMPLE_CAP"),
+        (["universe-check", "--bits", "0", "--clocks", str(2**27)], "UNIVERSE_OP_CAP"),
+        (["universe-check", "--bits", "3", "--clocks", str(2**22)], "UNIVERSE_OP_CAP"),
+        (["readout-scaling", "--bits", "0", "--clocks", "0", "--trials", str(2**29)],
+         "READOUT_HASH_CAP"),
+    ])
+    def test_a_config_at_its_cap_passes_the_check(self, argv, cap):
+        config = _config(argv)
+        with pytest.raises(_WorkStarted):
+            experiments.EXPERIMENTS[argv[0]](config)
+
+    @pytest.mark.parametrize("argv,reason", [
+        (["orthogonality", "--clocks", str(10**12)], f"= {2 * 100 * 10**12} exceeds cap {2**31}"),
+        (["orthogonality", "--clocks-range", f"{2**30},1", "--trials", "1"],
+         f"= {2**31 + 2} exceeds cap {2**31}"),
+        (["universe-check", "--bits", "12", "--clocks", str(10**12)],
+         f"= {13 * 2**12 * 10**12} exceeds cap {2**27}"),
+        (["universe-check", "--bits", "0", "--clocks", str(2**27 + 1)],
+         f"= {2**27 + 1} exceeds cap {2**27}"),
+        (["readout-scaling", "--bits", "8", "--clocks", "16", "--trials", str(10**12)],
+         f"= {33 * 10**12} exceeds cap {2**29}"),
+        (["readout-scaling", "--bits", "1", "--clocks", "513", "--trials", str(10**9)],
+         f"= {7 * 10**9} exceeds cap {2**29}"),
+        (["readout-scaling", "--bits", "0", "--clocks", "0", "--trials", str(2**29 + 1)],
+         f"= {2**29 + 1} exceeds cap {2**29}"),
+    ])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_over_cap_config_exits_2_naming_the_cap(self, argv, reason, fmt, capsys):
+        code, out, err = run_cli([*argv, "--format", fmt], capsys)
+        assert code == 2
+        assert out == ""
+        assert reason in err
 
 
 class TestHelp:

@@ -83,7 +83,7 @@ class TestRealizeProduct:
     def test_empty_product_is_all_ones(self):
         system = make_reference_system(SEED, 0, 16)
         wave = realize_product(ProductString(0, 0), system)
-        assert wave == ClockedWave.all_ones(16)
+        assert wave == ClockedWave(np.ones(16, dtype=np.int8))
 
     def test_single_factor(self):
         system = make_reference_system(SEED, 1, 16)
@@ -113,7 +113,7 @@ class TestRealizeProduct:
         # Reference: fold the selected L_r/H_r waves one bit at a time.
         mask &= (1 << n_bits) - 1
         system = make_reference_system(seed, n_bits, clocks)
-        expected = ClockedWave.all_ones(clocks)
+        expected = ClockedWave(np.ones(clocks, dtype=np.int8))
         for r in range(1, n_bits + 1):
             expected = multiply(expected, system.high(r) if (mask >> (r - 1)) & 1 else system.low(r))
         assert realize_product(ProductString(n_bits, mask), system) == expected

@@ -44,22 +44,21 @@ def brute_solutions(n_vars, rows):
 class TestGf2System:
     def test_known_unique_system(self):
         # x0 = 1, x0 + x1 = 1  ->  x0 = 1, x1 = 0
-        system = Gf2System.from_pairs([((1, 0), 1), ((1, 1), 1)], n_vars=2)
+        system = Gf2System(2, [0b101, 0b111])
         assert system.rank == 2
         assert system.consistent
         assert list(system.iter_solutions()) == [1]
 
     def test_inconsistent_system(self):
-        system = Gf2System.from_pairs([((1, 1), 0), ((1, 1), 1)], n_vars=2)
+        system = Gf2System(2, [0b011, 0b111])
         assert not system.consistent
-        assert system.solution_count() == 0
         assert list(system.iter_solutions()) == []
 
     def test_rank_deficit_counts_solutions(self):
-        system = Gf2System.from_pairs([((1, 1, 0), 1)], n_vars=3)
+        system = Gf2System(3, [0b1011])
         assert system.rank == 1
         assert system.rank_deficit == 2
-        assert system.solution_count() == 4
+        assert system.consistent
         assert sorted(system.iter_solutions()) == brute_solutions(3, [0b1011])
 
     def test_empty_system(self):
@@ -75,12 +74,6 @@ class TestGf2System:
         with pytest.raises(ValueError):
             Gf2System(2, [0b1000])
 
-    def test_from_pairs_validation(self):
-        with pytest.raises(ValueError):
-            Gf2System.from_pairs([((2, 0), 0)], n_vars=2)
-        with pytest.raises(ValueError):
-            Gf2System.from_pairs([((1, 0), 2)], n_vars=2)
-
     @given(st.integers(0, 6), st.integers(0, 10), st.integers(0, 2**32))
     @settings(max_examples=200)
     def test_solution_set_preserved(self, n_vars, n_rows, seed):
@@ -91,7 +84,7 @@ class TestGf2System:
         assert system.consistent == bool(expected)
         assert sorted(system.iter_solutions()) == expected
         if expected:
-            assert system.solution_count() == len(expected)
+            assert 1 << system.rank_deficit == len(expected)
 
     def test_planted_solutions_recovered(self):
         # Random systems with a planted solution are solved exactly
@@ -120,21 +113,21 @@ class TestGf2System:
 class TestReadoutResult:
     def test_status_count_coherence(self):
         with pytest.raises(ValueError):
-            ReadoutResult(frozenset(), 1, 4)
+            ReadoutResult(frozenset(), 1)
         with pytest.raises(ValueError):
-            ReadoutResult(frozenset({ProductString(2, 1)}), 2, 4)
+            ReadoutResult(frozenset({ProductString(2, 1)}), 2)
         with pytest.raises(ValueError):
-            ReadoutResult(None, -1, 4)
-        assert ReadoutResult(None, 0, 4).status == "inconsistent"
-        assert ReadoutResult(None, 1, 4).status == "unique"
-        assert ReadoutResult(None, 2, 4).status == "ambiguous"
+            ReadoutResult(None, -1)
+        assert ReadoutResult(None, 0).status == "inconsistent"
+        assert ReadoutResult(None, 1).status == "unique"
+        assert ReadoutResult(None, 2).status == "ambiguous"
 
     def test_sole_survivor(self):
         ps = ProductString(2, 1)
-        result = ReadoutResult.from_survivors([ps], 8)
+        result = ReadoutResult.from_survivors([ps])
         assert result.is_unique
         assert result.sole_survivor() == ps
-        ambiguous = ReadoutResult.from_survivors([ps, ProductString(2, 2)], 8)
+        ambiguous = ReadoutResult.from_survivors([ps, ProductString(2, 2)])
         with pytest.raises(ValueError):
             ambiguous.sole_survivor()
 
@@ -146,7 +139,6 @@ class TestBruteForceReadout:
         result = brute_force_readout(wave, system)
         assert result.status == "ambiguous"
         assert result.survivor_count == 8
-        assert result.clocks_used == 0
 
     def test_planted_string_recovered(self):
         system = make_reference_system(42, 4, 64)
@@ -266,7 +258,7 @@ class TestPlantTrial:
         b_sys, b_ps, b_wave = plant_trial(SEED, 3, 5, 16)
         assert a_ps == b_ps
         assert a_wave == b_wave
-        assert all(x == y for x, y in zip(a_sys.all_waves(), b_sys.all_waves()))
+        assert np.array_equal(a_sys.samples, b_sys.samples)
 
     def test_trials_differ(self):
         _, ps_a, wave_a = plant_trial(SEED, 0, 6, 32)
