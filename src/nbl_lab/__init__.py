@@ -3,110 +3,13 @@ noise-based logic built on clocked random telegraph waves, with a
 sinusoidal-representation counterpart for bandwidth and degeneracy
 comparisons."""
 
+from . import experiments, hyperspace, readout, rtw, sinus
 from ._version import __version__
-from .experiments import (
-    DEFAULT_MASTER_SEED,
-    SCHEMA_VERSION,
-    ExperimentConfig,
-    ExperimentReport,
-    run_bounds_table,
-    run_orthogonality,
-    run_readout_scaling,
-    run_sinus_comparison,
-    run_universe_check,
-)
-from .hyperspace import (
-    EnumerationCapError,
-    ProductString,
-    Superposition,
-    enumerate_superpositions,
-    expand_universe,
-    realize_product,
-    realize_superposition,
-    synthesize_universe,
-)
-from .readout import (
-    Gf2System,
-    ReadoutResult,
-    brute_force_readout,
-    count_failures,
-    gf2_fast_readout,
-    plant_trial,
-    stacho_clock_bound,
-    timeshifted_readout_steps,
-)
-from .rtw import (
-    ClockedWave,
-    IntegerWave,
-    ReferenceSystem,
-    SeedSpec,
-    generate_rtw,
-    load_wave_file,
-    make_reference_system,
-    multiply,
-    save_wave_file,
-    time_average_product,
-)
-from .sinus import (
-    EXPONENTIAL,
-    LINEAR,
-    CollisionGroup,
-    DegeneracyReport,
-    SinusRepresentation,
-    find_degeneracies,
-    max_system_frequency,
-    product_frequency,
-    readout_sample_count,
-    realize_sinus_product,
-    value_frequency,
-)
+from .experiments import *
+from .hyperspace import *
+from .readout import *
+from .rtw import *
+from .sinus import *
 
-__all__ = [
-    "__version__",
-    "DEFAULT_MASTER_SEED",
-    "SCHEMA_VERSION",
-    "ExperimentConfig",
-    "ExperimentReport",
-    "run_orthogonality",
-    "run_universe_check",
-    "run_readout_scaling",
-    "run_sinus_comparison",
-    "run_bounds_table",
-    "EnumerationCapError",
-    "ProductString",
-    "Superposition",
-    "enumerate_superpositions",
-    "expand_universe",
-    "realize_product",
-    "realize_superposition",
-    "synthesize_universe",
-    "Gf2System",
-    "ReadoutResult",
-    "brute_force_readout",
-    "count_failures",
-    "gf2_fast_readout",
-    "plant_trial",
-    "stacho_clock_bound",
-    "timeshifted_readout_steps",
-    "ClockedWave",
-    "IntegerWave",
-    "ReferenceSystem",
-    "SeedSpec",
-    "generate_rtw",
-    "load_wave_file",
-    "make_reference_system",
-    "multiply",
-    "save_wave_file",
-    "time_average_product",
-    "LINEAR",
-    "EXPONENTIAL",
-    "CollisionGroup",
-    "DegeneracyReport",
-    "SinusRepresentation",
-    "find_degeneracies",
-    "max_system_frequency",
-    "product_frequency",
-    "readout_sample_count",
-    "realize_sinus_product",
-    "value_frequency",
-]
+__all__ = ["__version__", *experiments.__all__, *hyperspace.__all__, *readout.__all__,
+           *rtw.__all__, *sinus.__all__]

@@ -17,24 +17,25 @@ from .experiments import DEFAULT_MASTER_SEED, EXPERIMENTS, ExperimentConfig
 
 SEED_ENV_VAR = "NBL_LAB_SEED"
 
-_DEFAULTS = {
-    "orthogonality": {"clocks": (100, 10_000), "trials": 100},
-    "universe-check": {"bits": (0, 2, 4, 8), "clocks": (128,), "trials": 1},
-    "readout-scaling": {"bits": (6, 8), "clocks": (8, 16), "trials": 1000},
-    "sinus-comparison": {"bits": (1, 2, 4, 8), "trials": 1},
-    "bounds-table": {"bits": (2, 64, 1024), "trials": 1},
+# Each experiment's flags and their defaults; "bits" and "clocks" stand for
+# the single and the -range form, and None leaves the default to
+# ExperimentConfig (or, for seed, to the environment).  Every subcommand also
+# takes --format and --out.
+_INPUTS = {
+    "orthogonality": {"clocks": (100, 10_000), "trials": 100, "seed": None},
+    "universe-check": {"bits": (0, 2, 4, 8), "clocks": (128,), "seed": None},
+    "readout-scaling": {"bits": (6, 8), "clocks": (8, 16), "trials": 1000, "seed": None},
+    "sinus-comparison": {"bits": (1, 2, 4, 8)},
+    "bounds-table": {"bits": (2, 64, 1024), "epsilon": None, "p-target": None},
 }
 
 
-# The flags each experiment reads; "bits" and "clocks" stand for the
-# single and the -range form.  Every subcommand also takes --format and --out.
-_FLAGS = {
-    "orthogonality": ("clocks", "trials", "seed"),
-    "universe-check": ("bits", "clocks", "seed"),
-    "readout-scaling": ("bits", "clocks", "trials", "seed"),
-    "sinus-comparison": ("bits",),
-    "bounds-table": ("bits", "epsilon", "p-target"),
-}
+def _seed(text: str) -> int:
+    """A seed in Python integer-literal syntax: decimal, 0x, 0o or 0b."""
+    try:
+        return int(text, 0)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -59,7 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
     subparsers = parser.add_subparsers(dest="experiment", required=True)
     for name in EXPERIMENTS:
         sub = subparsers.add_parser(name, help=f"run the {name} experiment")
-        reads = _FLAGS[name]
+        reads = _INPUTS[name]
         if "bits" in reads:
             sub.add_argument("--bits", type=int, help="single noise-bit count N")
             sub.add_argument("--bits-range", type=_int_list, metavar="N1,N2,...",
@@ -71,7 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
         if "trials" in reads:
             sub.add_argument("--trials", type=int, help="trials (or seed pairs) per grid point")
         if "seed" in reads:
-            sub.add_argument("--seed", type=int, help="64-bit master seed (overrides env)")
+            sub.add_argument("--seed", type=_seed, help="64-bit master seed (overrides env)")
         if "epsilon" in reads:
             sub.add_argument("--epsilon", dest="epsilons", type=_float_list, metavar="E1,E2,...",
                              help="epsilon grid for the clock-bound calculator (default 0)")
@@ -91,8 +92,8 @@ def _resolve_seed(flag_value: int | None) -> int:
     env_value = os.environ.get(SEED_ENV_VAR)
     if env_value is not None:
         try:
-            return int(env_value, 0)
-        except ValueError:
+            return _seed(env_value)
+        except argparse.ArgumentTypeError:
             raise ValueError(f"{SEED_ENV_VAR} must be an integer, got {env_value!r}")
     return DEFAULT_MASTER_SEED
 
@@ -109,7 +110,7 @@ def _pick_range(single: int | None, many: tuple[int, ...] | None,
 
 
 def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    defaults = _DEFAULTS[args.experiment]
+    defaults = _INPUTS[args.experiment]
     given = vars(args)
     bits = _pick_range(given.get("bits"), given.get("bits_range"), defaults.get("bits", ()), "bits")
     clocks = _pick_range(given.get("clocks"), given.get("clocks_range"),
@@ -117,12 +118,12 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     trials = given.get("trials")
     grids = {name: given[name] for name in ("epsilons", "p_targets") if given.get(name) is not None}
     # A seedless experiment never consults NBL_LAB_SEED; it echoes the default.
-    seeded = "seed" in _FLAGS[args.experiment]
+    seeded = "seed" in defaults
     return ExperimentConfig(
         experiment=args.experiment,
         bits=bits,
         clocks=clocks,
-        trials=trials if trials is not None else defaults.get("trials", 100),
+        trials=trials if trials is not None else defaults.get("trials", 1),
         master_seed=_resolve_seed(given.get("seed")) if seeded else DEFAULT_MASTER_SEED,
         **grids,
     )

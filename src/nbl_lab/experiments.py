@@ -120,14 +120,12 @@ class ExperimentReport:
     columns: list[str]
     records: list[dict]
     summary: dict = field(default_factory=dict)
-    tool_version: str = __version__
-    schema_version: int = SCHEMA_VERSION
     wall_time_s: float = 0.0
 
     def to_json_dict(self) -> dict:
         return {
-            "schema_version": self.schema_version,
-            "tool_version": self.tool_version,
+            "schema_version": SCHEMA_VERSION,
+            "tool_version": __version__,
             "experiment": self.experiment,
             "config": self.config,
             "columns": self.columns,

@@ -4,6 +4,7 @@ and the low-cost product-form synthesis of the full-universe superposition.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -29,13 +30,21 @@ PRODUCT_STRING_CAP = 16
 SUPERPOSITION_COUNT_CAP = 4
 
 
+def _index(value, name: str) -> int:
+    """*value* as an int (numpy integers included); a bool or any
+    non-integer is refused with a TypeError naming *name*."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise TypeError(f"{name} must be an integer, got {value!r}")
+
+
 class EnumerationCapError(ValueError):
     """Raised when a request would exceed an explicit enumeration cap."""
 
     def __init__(self, what: str, requested: int, cap: int):
-        self.what = what
-        self.requested = requested
-        self.cap = cap
         super().__init__(f"{what}: N={requested} exceeds cap {cap}")
 
 
@@ -51,6 +60,11 @@ class ProductString:
     mask: int
 
     def __post_init__(self) -> None:
+        # Plain ints skip the conversion: 2^N of these are built per scan.
+        if type(self.n_bits) is not int:
+            object.__setattr__(self, "n_bits", _index(self.n_bits, "n_bits"))
+        if type(self.mask) is not int:
+            object.__setattr__(self, "mask", _index(self.mask, "mask"))
         if self.n_bits < 0:
             raise ValueError("bit count must be non-negative")
         if not 0 <= self.mask < (1 << self.n_bits):

@@ -23,7 +23,8 @@ from typing import Iterable, Iterator, Union
 import numpy as np
 
 from .hyperspace import PRODUCT_STRING_CAP, EnumerationCapError, ProductString, realize_product
-from .rtw import ClockedWave, IntegerWave, ReferenceSystem, SeedSpec, make_reference_system
+from .rtw import (ClockedWave, IntegerWave, ReferenceSystem, SeedSpec, _all_bipolar,
+                  make_reference_system)
 
 __all__ = [
     "ReadoutResult",
@@ -133,38 +134,27 @@ class Gf2System:
     def rank_deficit(self) -> int:
         return self.n_vars - self.rank
 
-    def particular_solution(self) -> int:
-        """The solution with every free variable set to 0, as a bitmask."""
+    def iter_solutions(self) -> Iterator[int]:
+        """All solutions as variable bitmasks (2^deficit of them), none when
+        inconsistent.  The first sets every free variable to 0."""
         if not self.consistent:
-            raise ValueError("system is inconsistent")
+            return
         rhs_bit = 1 << self.n_vars
-        sol = 0
+        base = 0
         for row, col in zip(self.rows, self.pivot_cols):
             if row & rhs_bit:
-                sol |= 1 << col
-        return sol
-
-    def null_basis(self) -> list[int]:
-        """One basis vector per free variable, as bitmasks."""
+                base |= 1 << col
+        # One null-space vector per free variable: the free bit plus the
+        # pivot of each row that carries it.
         pivots = set(self.pivot_cols)
         basis = []
         for free in range(self.n_vars):
-            if free in pivots:
-                continue
-            vec = 1 << free
-            free_bit = 1 << free
-            for row, col in zip(self.rows, self.pivot_cols):
-                if row & free_bit:
-                    vec |= 1 << col
-            basis.append(vec)
-        return basis
-
-    def iter_solutions(self) -> Iterator[int]:
-        """All solutions as variable bitmasks (2^deficit of them)."""
-        if not self.consistent:
-            return
-        base = self.particular_solution()
-        basis = self.null_basis()
+            if free not in pivots:
+                free_bit = vec = 1 << free
+                for row, col in zip(self.rows, self.pivot_cols):
+                    if row & free_bit:
+                        vec |= 1 << col
+                basis.append(vec)
         for combo in range(1 << len(basis)):
             sol = base
             for i, vec in enumerate(basis):
@@ -179,11 +169,13 @@ def _pack_columns(bits: np.ndarray) -> list[int]:
     return [int.from_bytes(column.tobytes(), "little") for column in packed.T]
 
 
-def _check_wave_length(wave: AnyWave, refsys: ReferenceSystem) -> np.ndarray:
+def _bipolar_samples(wave: AnyWave, refsys: ReferenceSystem) -> np.ndarray | None:
+    """The observed samples, or None when one is not ±1: no product of
+    bipolar waves can match it, so every candidate is eliminated."""
     samples = np.asarray(wave.samples)
     if samples.size != refsys.clocks:
         raise ValueError(f"wave length {samples.size} does not match system clocks {refsys.clocks}")
-    return samples
+    return samples if _all_bipolar(samples) else None
 
 
 def brute_force_readout(wave: AnyWave, refsys: ReferenceSystem) -> ReadoutResult:
@@ -201,9 +193,9 @@ def brute_force_readout(wave: AnyWave, refsys: ReferenceSystem) -> ReadoutResult
     """
     if refsys.n_bits > PRODUCT_STRING_CAP:
         raise EnumerationCapError("brute-force readout", refsys.n_bits, PRODUCT_STRING_CAP)
-    target = _check_wave_length(wave, refsys)
+    target = _bipolar_samples(wave, refsys)
     n_bits, clocks = refsys.n_bits, refsys.clocks
-    if target.size and not np.all((target == 1) | (target == -1)):
+    if target is None:
         return ReadoutResult.from_survivors(())
     # Row m becomes candidate m's product (H_j adds 2^(j-1) to m), filled by in-place doubling.
     products = np.empty((1 << n_bits, clocks), dtype=np.int8)
@@ -237,10 +229,9 @@ def gf2_fast_readout(wave: AnyWave, refsys: ReferenceSystem,
     Survivor sets with d > max_enumerated_deficit are not materialized;
     the result then carries survivors=None and the exact count 2^d.
     """
-    samples = _check_wave_length(wave, refsys)
+    samples = _bipolar_samples(wave, refsys)
     n_bits = refsys.n_bits
-    if samples.size and not np.all(np.abs(samples) == 1):
-        # No product of bipolar waves can match a non-bipolar sample.
+    if samples is None:
         return ReadoutResult.from_survivors(())
     sign_l, sign_h = refsys.samples == -1
     rhs = (samples == -1) ^ np.logical_xor.reduce(sign_l, axis=0)

@@ -63,6 +63,8 @@ class SeedSpec:
             raise TypeError("master_seed must be an int, not bool")
         if not 0 <= self.master_seed < 2**64:
             raise ValueError("master_seed must be a 64-bit unsigned integer")
+        if isinstance(self.path, (str, bytes)):  # tuple() would split it into characters
+            raise TypeError(f"path must be a tuple of elements, got {self.path!r}")
         object.__setattr__(self, "path", tuple(self.path))
         for element in self.path:
             _encode_path_element(element)
@@ -99,10 +101,15 @@ class SeedSpec:
         return np.unpackbits(np.frombuffer(buf, dtype=np.uint8))[:count]
 
 
+def _all_bipolar(samples: np.ndarray) -> bool:
+    """Whether every sample is -1 or +1 (vacuously true for none)."""
+    return bool(np.all((samples == 1) | (samples == -1)))
+
+
 def _frozen_bipolar(raw: np.ndarray, what: str) -> np.ndarray:
     """*raw* as a read-only int8 copy, refusing any value other than ±1
     before the narrowing cast (int8 would wrap 255 to -1)."""
-    if raw.size and not np.all((raw == 1) | (raw == -1)):
+    if not _all_bipolar(raw):
         raise ValueError(f"every {what} sample must be -1 or +1")
     arr = raw.astype(np.int8)
     arr.setflags(write=False)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hyperspace import ProductString
+from .hyperspace import ProductString, _index
 
 __all__ = [
     "LINEAR",
@@ -45,6 +45,7 @@ class SinusRepresentation:
     def __post_init__(self) -> None:
         if self.kind not in (LINEAR, EXPONENTIAL):
             raise ValueError(f"kind must be {LINEAR!r} or {EXPONENTIAL!r}, got {self.kind!r}")
+        object.__setattr__(self, "n_bits", _index(self.n_bits, "n_bits"))
         if self.n_bits < 0:
             raise ValueError("bit count must be non-negative")
 

@@ -90,6 +90,32 @@ class TestSeedResolution:
             ["orthogonality", "--clocks", "64", "--trials", "2", "--seed", "777"], capsys)
         assert out.strip().split("\n")[1].endswith(",777")
 
+    @pytest.mark.parametrize("spelling", ["0x10", "0o20", "0b10000", "0X10"])
+    @pytest.mark.parametrize("source", ["flag", "env"])
+    def test_seed_takes_integer_literals(self, source, spelling, capsys, monkeypatch):
+        argv = ["orthogonality", "--clocks", "64", "--trials", "2"]
+        monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+        _, decimal, _ = run_cli([*argv, "--seed", "16"], capsys)
+        if source == "flag":
+            argv += ["--seed", spelling]
+        else:
+            monkeypatch.setenv(SEED_ENV_VAR, spelling)
+        code, out, err = run_cli(argv, capsys)
+        assert (code, err) == (0, "")
+        assert out == decimal
+
+    def test_seed_flag_refuses_leading_zero_decimal(self, capsys, monkeypatch):
+        # int("010", 0) refuses it, as it does for NBL_LAB_SEED.
+        with pytest.raises(SystemExit) as exc:
+            main(["orthogonality", "--clocks", "64", "--trials", "2", "--seed", "010"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "expected an integer, got '010'" in captured.err
+        monkeypatch.setenv(SEED_ENV_VAR, "010")
+        code, out, _ = run_cli(["orthogonality", "--clocks", "64", "--trials", "2"], capsys)
+        assert (code, out) == (2, "")
+
     def test_bad_env_seed_is_config_error(self, capsys, monkeypatch):
         monkeypatch.setenv(SEED_ENV_VAR, "not-a-number")
         code, _, err = run_cli(["orthogonality", "--clocks", "64", "--trials", "2"], capsys)

@@ -54,6 +54,20 @@ class TestProductString:
         with pytest.raises(ValueError):
             ProductString.from_string("LX")
 
+    @pytest.mark.parametrize("n_bits,mask,field", [
+        (2, 1.0, "mask"), (True, 1, "n_bits"), (2, True, "mask"), (2.0, 1, "n_bits"),
+    ])
+    def test_counts_must_be_integers(self, n_bits, mask, field):
+        with pytest.raises(TypeError, match=f"^{field} must be an integer"):
+            ProductString(n_bits, mask)
+
+    def test_numpy_integers_are_stored_as_int(self):
+        ps = ProductString(np.int64(3), np.uint8(5))
+        assert (type(ps.n_bits), type(ps.mask)) == (int, int)
+        assert ps == ProductString(3, 5)
+        assert hash(ps) == hash(ProductString(3, 5))
+        assert str(ps) == "HLH"
+
     def test_canonical_order_is_mask_order(self):
         strings = list(ProductString.all_strings(2))
         assert [str(ps) for ps in strings] == ["LL", "HL", "LH", "HH"]

@@ -48,6 +48,12 @@ class TestSeedSpec:
         with pytest.raises(TypeError):
             SeedSpec(1, (True,))
 
+    @pytest.mark.parametrize("path", ["bit", b"bit"])
+    def test_path_must_not_be_a_string(self, path):
+        # tuple("bit") would be the path ("b", "i", "t"), a different stream.
+        with pytest.raises(TypeError, match="path must be a tuple"):
+            SeedSpec(5, path)
+
     def test_path_integers_limited_to_signed_64_bit(self):
         SeedSpec(1, (2**63 - 1, -2**63))
         for element in (2**63, -2**63 - 1):

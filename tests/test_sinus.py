@@ -58,6 +58,17 @@ class TestValueFrequency:
         with pytest.raises(ValueError):
             SinusRepresentation("cubic", 2)
 
+    @pytest.mark.parametrize("n_bits", [2.5, 2.0, True])
+    def test_bit_count_must_be_an_integer(self, n_bits):
+        with pytest.raises(TypeError, match="^n_bits must be an integer"):
+            SinusRepresentation(LINEAR, n_bits)
+
+    def test_numpy_bit_count_is_stored_as_int(self):
+        r3 = SinusRepresentation(LINEAR, np.int32(3))
+        assert type(r3.n_bits) is int
+        assert r3 == rep(LINEAR, 3)
+        assert (max_system_frequency(r3), readout_sample_count(r3)) == (21, 43)
+
 
 class TestProductFrequency:
     def test_linear_collision_witness(self):
