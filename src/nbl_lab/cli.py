@@ -117,7 +117,8 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
                          defaults.get("clocks", ()), "clocks")
     trials = given.get("trials")
     grids = {name: given[name] for name in ("epsilons", "p_targets") if given.get(name) is not None}
-    # A seedless experiment never consults NBL_LAB_SEED; it echoes the default.
+    # A seedless experiment never consults NBL_LAB_SEED; it echoes the default,
+    # and an experiment that reads no trial count echoes trials = 1.
     seeded = "seed" in defaults
     return ExperimentConfig(
         experiment=args.experiment,
