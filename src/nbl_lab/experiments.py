@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 import math
-import operator
 import statistics
 import time
 from dataclasses import dataclass, field
@@ -17,7 +16,7 @@ from dataclasses import dataclass, field
 from ._version import __version__
 from .hyperspace import expand_universe, realize_superposition, synthesize_universe
 from .readout import count_failures, stacho_clock_bound, timeshifted_readout_steps
-from .rtw import SeedSpec, generate_rtw, make_reference_system, time_average_product
+from .rtw import SeedSpec, _index, generate_rtw, make_reference_system, time_average_product
 from .sinus import (
     EXPONENTIAL,
     LINEAR,
@@ -71,10 +70,13 @@ class ExperimentConfig:
     p_targets: tuple[float, ...] = (0.001,)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "bits", tuple(_integer(n, "bits") for n in self.bits))
-        object.__setattr__(self, "clocks", tuple(_integer(k, "clocks") for k in self.clocks))
-        object.__setattr__(self, "trials", _integer(self.trials, "trials"))
-        object.__setattr__(self, "master_seed", _integer(self.master_seed, "master_seed"))
+        try:  # a bad count is a configuration error, which the CLI maps to exit 2
+            object.__setattr__(self, "bits", tuple(_index(n, "bits") for n in self.bits))
+            object.__setattr__(self, "clocks", tuple(_index(k, "clocks") for k in self.clocks))
+            object.__setattr__(self, "trials", _index(self.trials, "trials"))
+            object.__setattr__(self, "master_seed", _index(self.master_seed, "master_seed"))
+        except TypeError as exc:
+            raise ValueError(str(exc)) from exc
         object.__setattr__(self, "epsilons", tuple(float(e) for e in self.epsilons))
         object.__setattr__(self, "p_targets", tuple(float(p) for p in self.p_targets))
         if self.trials < 1:
@@ -99,16 +101,6 @@ class ExperimentConfig:
             "epsilons": list(self.epsilons),
             "p_targets": list(self.p_targets),
         }
-
-
-def _integer(value, name: str) -> int:
-    """*value* as an int; bools and non-integral values are refused, not truncated."""
-    if not isinstance(value, bool):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise ValueError(f"{name}: expected an integer, got {value!r}")
 
 
 @dataclass

@@ -4,13 +4,12 @@ and the low-cost product-form synthesis of the full-universe superposition.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
 from typing import Iterator
 
 import numpy as np
 
-from .rtw import ClockedWave, IntegerWave, ReferenceSystem
+from .rtw import ClockedWave, IntegerWave, ReferenceSystem, _index
 
 __all__ = [
     "EnumerationCapError",
@@ -30,22 +29,21 @@ PRODUCT_STRING_CAP = 16
 SUPERPOSITION_COUNT_CAP = 4
 
 
-def _index(value, name: str) -> int:
-    """*value* as an int (numpy integers included); a bool or any
-    non-integer is refused with a TypeError naming *name*."""
-    if not isinstance(value, bool):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise TypeError(f"{name} must be an integer, got {value!r}")
-
-
 class EnumerationCapError(ValueError):
     """Raised when a request would exceed an explicit enumeration cap."""
 
     def __init__(self, what: str, requested: int, cap: int):
         super().__init__(f"{what}: N={requested} exceeds cap {cap}")
+
+
+def _enumeration_bits(n_bits, what: str, cap: int) -> int:
+    """*n_bits* as an int in 0..cap; refused before anything is built."""
+    n_bits = _index(n_bits, "n_bits")
+    if n_bits < 0:
+        raise ValueError(f"{what}: N={n_bits} is negative")
+    if n_bits > cap:
+        raise EnumerationCapError(what, n_bits, cap)
+    return n_bits
 
 
 @dataclass(frozen=True, order=True)
@@ -85,11 +83,10 @@ class ProductString:
     def all_strings(cls, n_bits: int) -> Iterator["ProductString"]:
         """All 2^N product strings in canonical (mask) order.
 
-        N above PRODUCT_STRING_CAP is refused at the call, before any
-        string is built.
+        A non-integer, negative or above-PRODUCT_STRING_CAP N is refused
+        at the call, before any string is built.
         """
-        if n_bits > PRODUCT_STRING_CAP:
-            raise EnumerationCapError("product-string enumeration", n_bits, PRODUCT_STRING_CAP)
+        n_bits = _enumeration_bits(n_bits, "product-string enumeration", PRODUCT_STRING_CAP)
         return (cls(n_bits, mask) for mask in range(1 << n_bits))
 
     def selection(self, r: int) -> str:
@@ -110,6 +107,11 @@ class Superposition:
     members: frozenset[ProductString] = field(default_factory=frozenset)
 
     def __post_init__(self) -> None:
+        # Plain ints skip the conversion: 2^(2^N) of these are built per count.
+        if type(self.n_bits) is not int:
+            object.__setattr__(self, "n_bits", _index(self.n_bits, "n_bits"))
+        if self.n_bits < 0:
+            raise ValueError("bit count must be non-negative")
         object.__setattr__(self, "members", frozenset(self.members))
         for ps in self.members:
             if ps.n_bits != self.n_bits:
@@ -172,13 +174,11 @@ def enumerate_superpositions(n_bits: int) -> int:
     """Exhaustively build every superposition over N bits and count them.
 
     The count equals 2^(2^N): every subset of the 2^N product strings is a
-    distinct logic value.
+    distinct logic value.  The subsets are built by doubling: each string
+    joins a copy of every subset built so far.
     """
-    if n_bits > SUPERPOSITION_COUNT_CAP:
-        raise EnumerationCapError("superposition enumeration", n_bits, SUPERPOSITION_COUNT_CAP)
-    strings = list(ProductString.all_strings(n_bits))
-    seen = set()
-    for subset in range(1 << len(strings)):
-        members = frozenset(ps for i, ps in enumerate(strings) if (subset >> i) & 1)
-        seen.add(Superposition(n_bits, members))
-    return len(seen)
+    n_bits = _enumeration_bits(n_bits, "superposition enumeration", SUPERPOSITION_COUNT_CAP)
+    subsets = [frozenset()]
+    for ps in ProductString.all_strings(n_bits):
+        subsets += [subset | {ps} for subset in subsets]
+    return len({Superposition(n_bits, members) for members in subsets})

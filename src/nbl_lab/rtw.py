@@ -8,6 +8,7 @@ readout experiments) is built from the immutable wave types defined here.
 from __future__ import annotations
 
 import hashlib
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Union
 
@@ -30,6 +31,17 @@ _STREAM_DOMAIN = b"nbl-lab/rtw-stream/v1"
 _BLOCK_BYTES = 64  # blake2b max digest; 512 wave samples per block
 
 PathElement = Union[int, str]
+
+
+def _index(value, name: str) -> int:
+    """*value* as an int (numpy integers included); a bool or any
+    non-integer is refused with a TypeError naming *name*."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise TypeError(f"{name} must be an integer, got {value!r}")
 
 
 def _encode_path_element(element: PathElement) -> bytes:
@@ -59,8 +71,9 @@ class SeedSpec:
     path: tuple[PathElement, ...] = ()
 
     def __post_init__(self) -> None:
-        if isinstance(self.master_seed, bool):  # bool is an int subclass; reject explicitly
-            raise TypeError("master_seed must be an int, not bool")
+        # Plain ints skip the conversion: a Monte Carlo trial builds 2N + 1 of these.
+        if type(self.master_seed) is not int:
+            object.__setattr__(self, "master_seed", _index(self.master_seed, "master_seed"))
         if not 0 <= self.master_seed < 2**64:
             raise ValueError("master_seed must be a 64-bit unsigned integer")
         if isinstance(self.path, (str, bytes)):  # tuple() would split it into characters

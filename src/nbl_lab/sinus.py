@@ -11,7 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hyperspace import ProductString, _index
+from .hyperspace import PRODUCT_STRING_CAP, ProductString, _enumeration_bits
+from .rtw import _index
 
 __all__ = [
     "LINEAR",
@@ -93,16 +94,28 @@ class DegeneracyReport:
 def find_degeneracies(rep: SinusRepresentation) -> DegeneracyReport:
     """Group all 2^N product strings by product frequency and report every
     frequency carrying two or more strings.  N is capped at
-    PRODUCT_STRING_CAP by the enumeration."""
-    by_frequency: dict[int, list[ProductString]] = {}
-    for ps in ProductString.all_strings(rep.n_bits):
-        by_frequency.setdefault(product_frequency(rep, ps), []).append(ps)
+    PRODUCT_STRING_CAP.
+
+    The 2^N frequencies come from N doubling steps: step r appends a copy
+    shifted from f(L_r) to f(H_r), so index i holds the frequency of mask i.
+    A stable sort then keeps each group's masks ascending.
+    product_frequency is the per-string oracle.
+    """
+    n_bits = _enumeration_bits(rep.n_bits, "product-string enumeration", PRODUCT_STRING_CAP)
+    frequencies = np.zeros(1, dtype=np.int64)
+    for r in range(1, n_bits + 1):
+        frequencies = np.concatenate((frequencies + value_frequency(rep, r, "L"),
+                                      frequencies + value_frequency(rep, r, "H")))
+    masks = np.argsort(frequencies, kind="stable")
+    distinct, starts, counts = np.unique(frequencies[masks], return_index=True, return_counts=True)
+    collided = counts >= 2
     groups = tuple(
-        CollisionGroup(freq, tuple(sorted(members)))
-        for freq, members in sorted(by_frequency.items())
-        if len(members) >= 2
+        CollisionGroup(frequency,
+                       tuple(ProductString(n_bits, m) for m in masks[start:start + count].tolist()))
+        for frequency, start, count in zip(distinct[collided].tolist(), starts[collided].tolist(),
+                                           counts[collided].tolist())
     )
-    return DegeneracyReport(rep.kind, rep.n_bits, groups)
+    return DegeneracyReport(rep.kind, n_bits, groups)
 
 
 def max_system_frequency(rep: SinusRepresentation) -> int:

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from nbl_lab import (
@@ -59,6 +60,22 @@ class TestExperimentConfig:
             ExperimentConfig("x", master_seed=True)
         with pytest.raises(ValueError, match="master_seed"):
             ExperimentConfig("x", master_seed=7.0)
+
+    @pytest.mark.parametrize("field,value", [
+        ("trials", 2.5), ("master_seed", True), ("bits", (4.0,)), ("clocks", ("8",)),
+    ])
+    def test_non_integer_count_is_a_value_error_naming_it(self, field, value):
+        # The CLI maps ValueError, not TypeError, to exit 2 with this reason.
+        shown = value if field in ("trials", "master_seed") else value[0]
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got {shown!r}$"):
+            ExperimentConfig("x", **{field: value})
+
+    def test_numpy_counts_are_stored_as_int(self):
+        config = ExperimentConfig("x", bits=(np.int64(4),), clocks=(np.uint16(8),),
+                                  trials=np.int32(3), master_seed=np.uint64(7))
+        assert config == ExperimentConfig("x", bits=(4,), clocks=(8,), trials=3, master_seed=7)
+        assert {type(x) for x in (*config.bits, *config.clocks, config.trials,
+                                  config.master_seed)} == {int}
 
     def test_echo_is_plain_json_types(self):
         echo = ExperimentConfig("x", bits=(1, 2), clocks=(3,)).echo()

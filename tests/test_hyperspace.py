@@ -77,6 +77,18 @@ class TestProductString:
         with pytest.raises(EnumerationCapError):
             list(ProductString.all_strings(17))
 
+    def test_all_strings_refuses_negative_count(self):
+        with pytest.raises(ValueError, match=r"^product-string enumeration: N=-1 is negative$"):
+            ProductString.all_strings(-1)
+
+    @pytest.mark.parametrize("n_bits", [2.5, 2.0, True, "2"])
+    def test_all_strings_refuses_non_integer_count(self, n_bits):
+        with pytest.raises(TypeError, match="^n_bits must be an integer"):
+            ProductString.all_strings(n_bits)
+
+    def test_all_strings_takes_numpy_count(self):
+        assert list(ProductString.all_strings(np.int8(2))) == list(ProductString.all_strings(2))
+
 
 class TestSuperposition:
     def test_set_semantics(self):
@@ -87,6 +99,21 @@ class TestSuperposition:
     def test_member_dimension_checked(self):
         with pytest.raises(ValueError):
             Superposition(2, [ProductString(3, 0)])
+
+    @pytest.mark.parametrize("n_bits", [2.0, True, 2.5])
+    def test_bit_count_must_be_an_integer(self, n_bits):
+        with pytest.raises(TypeError, match="^n_bits must be an integer"):
+            Superposition(n_bits, [])
+
+    def test_bit_count_must_be_non_negative(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            Superposition(-1)
+
+    def test_numpy_bit_count_is_stored_as_int(self):
+        s = Superposition(np.int64(2), [ProductString(2, 1)])
+        assert type(s.n_bits) is int
+        assert s == Superposition(2, [ProductString(2, 1)])
+        assert hash(s) == hash(Superposition(2, [ProductString(2, 1)]))
 
     def test_sorted_members(self):
         s = Superposition(2, [ProductString(2, 3), ProductString(2, 0)])
@@ -232,6 +259,10 @@ class TestExpandUniverse:
         with pytest.raises(EnumerationCapError, match="16"):
             expand_universe(17)
 
+    def test_negative_count_named_in_error(self):
+        with pytest.raises(ValueError, match="N=-1 is negative"):
+            expand_universe(-1)
+
 
 class TestEnumerateSuperpositions:
     @pytest.mark.parametrize("n_bits,count", [(0, 2), (1, 4), (2, 16), (3, 256)])
@@ -241,6 +272,14 @@ class TestEnumerateSuperpositions:
     def test_cap(self):
         with pytest.raises(EnumerationCapError, match="4"):
             enumerate_superpositions(5)
+
+    def test_negative_count_named_in_error(self):
+        with pytest.raises(ValueError, match=r"^superposition enumeration: N=-1 is negative$"):
+            enumerate_superpositions(-1)
+
+    def test_non_integer_count_refused(self):
+        with pytest.raises(TypeError, match="^n_bits must be an integer, got 2.5$"):
+            enumerate_superpositions(2.5)
 
 
 class TestDistinguishability:

@@ -41,6 +41,21 @@ class TestSeedSpec:
         with pytest.raises(TypeError):
             SeedSpec(True)
 
+    @pytest.mark.parametrize("seed", [5.0, 5.5, True, "5"])
+    def test_master_seed_must_be_an_integer(self, seed):
+        with pytest.raises(TypeError, match="^master_seed must be an integer"):
+            SeedSpec(seed)
+
+    def test_reference_system_refuses_float_seed(self):
+        with pytest.raises(TypeError, match="^master_seed must be an integer, got 5.0$"):
+            make_reference_system(5.0, 2, 4)
+
+    def test_numpy_master_seed_is_stored_as_int(self):
+        spec = SeedSpec(np.uint64(5), ("a",))
+        assert type(spec.master_seed) is int
+        assert spec == SeedSpec(5, ("a",))
+        assert spec.stream_key() == SeedSpec(5, ("a",)).stream_key()
+
     def test_path_elements_typed(self):
         SeedSpec(1, ("bit", 3, "L"))
         with pytest.raises(TypeError):

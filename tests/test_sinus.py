@@ -1,12 +1,19 @@
 """Harmonic assignments, degeneracy scans, bandwidth formulas, and the
 complex-exponential realization."""
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nbl_lab import (
     EXPONENTIAL,
     LINEAR,
+    CollisionGroup,
+    DegeneracyReport,
     EnumerationCapError,
     ProductString,
     SinusRepresentation,
@@ -21,6 +28,28 @@ from nbl_lab import (
 
 def rep(kind, n_bits):
     return SinusRepresentation(kind, n_bits)
+
+
+def per_string_degeneracies(representation):
+    """The slow oracle: product_frequency of every string, grouped in a dict."""
+    by_frequency = {}
+    for ps in ProductString.all_strings(representation.n_bits):
+        by_frequency.setdefault(product_frequency(representation, ps), []).append(ps)
+    groups = tuple(
+        CollisionGroup(frequency, tuple(sorted(members)))
+        for frequency, members in sorted(by_frequency.items())
+        if len(members) >= 2
+    )
+    return DegeneracyReport(representation.kind, representation.n_bits, groups)
+
+
+def bench_oracles():
+    """bench/oracles.py, which is written apart from nbl_lab."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "oracles.py"
+    spec = importlib.util.spec_from_file_location("bench_oracles", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 class TestValueFrequency:
@@ -134,6 +163,21 @@ class TestFindDegeneracies:
     def test_cap_named_in_error(self):
         with pytest.raises(EnumerationCapError, match="16"):
             find_degeneracies(rep(LINEAR, 17))
+
+    @settings(max_examples=30, deadline=None)
+    @given(kind=st.sampled_from([LINEAR, EXPONENTIAL]), n_bits=st.integers(0, 10))
+    def test_matches_per_string_oracle(self, kind, n_bits):
+        representation = rep(kind, n_bits)
+        assert find_degeneracies(representation) == per_string_degeneracies(representation)
+
+    def test_linear_sixteen_bits_matches_closed_form(self):
+        # A string with k H selections sits at N^2 + k; bench/oracles.py
+        # lists the groups k = 1..N-1 with their masks ascending.
+        report = find_degeneracies(rep(LINEAR, 16))
+        groups = [(g.frequency, [ps.mask for ps in g.members]) for g in report.groups]
+        assert groups == bench_oracles().linear_degeneracy_groups(16)
+        assert all(ps.n_bits == 16 for g in report.groups for ps in g.members)
+        assert report.total_collided == 2**16 - 2
 
 
 class TestBandwidth:
