@@ -24,6 +24,7 @@ import numpy as np
 
 from .hyperspace import PRODUCT_STRING_CAP, EnumerationCapError, ProductString, realize_product
 from .rtw import (ClockedWave, IntegerWave, ReferenceSystem, SeedSpec, _all_bipolar,
+                  _derive_keys, _encode_path, _encode_path_element, _index,
                   make_reference_system)
 
 __all__ = [
@@ -163,10 +164,56 @@ class Gf2System:
             yield sol
 
 
-def _pack_columns(bits: np.ndarray) -> list[int]:
-    """Each column of a (rows, columns) 0/1 table as an int with row i at bit i."""
-    packed = np.packbits(bits, axis=0, bitorder="little")
-    return [int.from_bytes(column.tobytes(), "little") for column in packed.T]
+def _pack_rows(bits: np.ndarray) -> list[int]:
+    """Each row of an (N, K) 0/1 table as one K-bit int."""
+    packed = np.packbits(bits, axis=1)
+    data, width = packed.tobytes(), packed.shape[1]
+    return [int.from_bytes(data[i * width:(i + 1) * width], "big") for i in range(len(packed))]
+
+
+class _Gf2Basis:
+    """Echelon basis over GF(2) of the span of N int vectors.
+
+    Vector r-1 stands for the variable c_r.  Each basis vector is keyed by
+    its leading bit (``bit_length()``) and carries a tag, the mask of input
+    vectors whose XOR it is.  An input that reduces to zero leaves its tag
+    as a null vector: a nonzero c with sum_r c_r v_r = 0.
+    """
+
+    __slots__ = ("pivots", "null_tags")
+
+    def __init__(self, vectors: Iterable[int]):
+        pivots: dict[int, tuple[int, int]] = {}
+        null_tags: list[int] = []
+        for i, vector in enumerate(vectors):
+            tag = 1 << i
+            while vector:
+                hit = pivots.get(vector.bit_length())
+                if hit is None:
+                    pivots[vector.bit_length()] = (vector, tag)
+                    break
+                vector ^= hit[0]
+                tag ^= hit[1]
+            else:
+                null_tags.append(tag)
+        self.pivots = pivots
+        self.null_tags = null_tags
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivots)
+
+    def solve(self, target: int) -> int | None:
+        """A mask c with sum_r c_r v_r = target, or None when target is
+        outside the span."""
+        solution = 0
+        while target:
+            hit = self.pivots.get(target.bit_length())
+            if hit is None:
+                return None
+            target ^= hit[0]
+            solution ^= hit[1]
+        return solution
 
 
 def _bipolar_samples(wave: AnyWave, refsys: ReferenceSystem) -> np.ndarray | None:
@@ -175,7 +222,8 @@ def _bipolar_samples(wave: AnyWave, refsys: ReferenceSystem) -> np.ndarray | Non
     samples = np.asarray(wave.samples)
     if samples.size != refsys.clocks:
         raise ValueError(f"wave length {samples.size} does not match system clocks {refsys.clocks}")
-    return samples if _all_bipolar(samples) else None
+    # A ClockedWave holds only ±1 samples by construction.
+    return samples if type(wave) is ClockedWave or _all_bipolar(samples) else None
 
 
 def brute_force_readout(wave: AnyWave, refsys: ReferenceSystem) -> ReadoutResult:
@@ -233,21 +281,32 @@ def gf2_fast_readout(wave: AnyWave, refsys: ReferenceSystem,
     n_bits = refsys.n_bits
     if samples is None:
         return ReadoutResult.from_survivors(())
-    sign_l, sign_h = refsys.samples == -1
-    rhs = (samples == -1) ^ np.logical_xor.reduce(sign_l, axis=0)
-    # Row t: bit r-1 is a_r(t), bit N is the right-hand side.
-    system = Gf2System(n_bits, _pack_columns(np.vstack([sign_l ^ sign_h, rhs])))
-    if not system.consistent:
+    # Sign bits as K-bit ints: l_1..l_N, h_1..h_N, then w.  The K equations
+    # are one vector equation, sum_r c_r a_r = w xor l_1 xor ... xor l_N.
+    signs = _pack_rows(np.vstack((refsys.samples.reshape(2 * n_bits, refsys.clocks), samples)) == -1)
+    low, high, rhs = signs[:n_bits], signs[n_bits:-1], signs[-1]
+    for row in low:
+        rhs ^= row
+    basis = _Gf2Basis(l ^ h for l, h in zip(low, high))
+    solution = basis.solve(rhs)
+    if solution is None:
         return ReadoutResult.from_survivors(())
-    deficit = system.rank_deficit
+    deficit = len(basis.null_tags)
     if deficit > max_enumerated_deficit:
         return ReadoutResult(None, 1 << deficit)
-    return ReadoutResult.from_survivors(
-        ProductString(n_bits, m) for m in system.iter_solutions())
+    solutions = [solution]
+    for tag in basis.null_tags:
+        solutions += [m ^ tag for m in solutions]
+    return ReadoutResult.from_survivors(ProductString(n_bits, m) for m in solutions)
 
 
-def _trial_seed(master_seed: int, trial: int) -> int:
-    return SeedSpec(master_seed, ("trial", trial)).derive_seed()
+_TRIAL_PREFIX = _encode_path(("trial",))
+
+
+def _trial_seeds(master_seed: int, trials: Iterable[int]) -> Iterator[int]:
+    """SeedSpec(master_seed, ("trial", t)).derive_seed() for each trial t."""
+    for key in _derive_keys(master_seed, _TRIAL_PREFIX, map(_encode_path_element, trials)):
+        yield int.from_bytes(key[:8], "big")
 
 
 def plant_trial(master_seed: int, trial: int, n_bits: int,
@@ -258,10 +317,12 @@ def plant_trial(master_seed: int, trial: int, n_bits: int,
     the reference system and the planted selection mask both derive from
     it, so instances are reproducible and independent across trials.
     """
-    trial_seed = _trial_seed(master_seed, trial)
+    trial_seed = next(_trial_seeds(master_seed, (trial,)))
     refsys = make_reference_system(trial_seed, n_bits, clocks)
     plant_bits = SeedSpec(trial_seed, ("plant",)).bits(n_bits)
-    planted = ProductString(n_bits, _pack_columns(plant_bits[:, None])[0])
+    # Bit r-1 of the mask is sample r-1 of the plant stream.
+    mask = int.from_bytes(np.packbits(plant_bits, bitorder="little").tobytes(), "little")
+    planted = ProductString(n_bits, mask)
     return refsys, planted, realize_product(planted, refsys)
 
 
@@ -278,13 +339,14 @@ def count_failures(n_bits: int, clocks: int, trials: int, master_seed: int) -> i
     per-trial reference waves for a larger *clocks* extend those for a
     smaller one, making the count non-increasing in *clocks*.
     """
+    n_bits, clocks, trials = (_index(n_bits, "n_bits"), _index(clocks, "clocks"),
+                              _index(trials, "trials"))
     if trials < 1:
         raise ValueError("need at least one trial")
     failures = 0
-    for trial in range(trials):
-        refsys = make_reference_system(_trial_seed(master_seed, trial), n_bits, clocks)
-        sign_l, sign_h = refsys.samples == -1
-        failures += Gf2System(n_bits, _pack_columns(sign_l ^ sign_h)).rank < n_bits
+    for trial_seed in _trial_seeds(master_seed, range(trials)):
+        low, high = make_reference_system(trial_seed, n_bits, clocks).samples
+        failures += _Gf2Basis(_pack_rows(low != high)).rank < n_bits
     return failures
 
 

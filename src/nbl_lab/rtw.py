@@ -7,10 +7,11 @@ readout experiments) is built from the immutable wave types defined here.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Iterable, Iterator, Union
 
 import numpy as np
 
@@ -29,6 +30,7 @@ __all__ = [
 
 _STREAM_DOMAIN = b"nbl-lab/rtw-stream/v1"
 _BLOCK_BYTES = 64  # blake2b max digest; 512 wave samples per block
+_BLOCK_BITS = _BLOCK_BYTES * 8
 
 PathElement = Union[int, str]
 
@@ -42,6 +44,15 @@ def _index(value, name: str) -> int:
         except TypeError:
             pass
     raise TypeError(f"{name} must be an integer, got {value!r}")
+
+
+def _master_seed(value) -> int:
+    """*value* as a master seed: an integer in [0, 2^64)."""
+    if type(value) is not int:  # plain ints skip the conversion
+        value = _index(value, "master_seed")
+    if not 0 <= value < 2**64:
+        raise ValueError("master_seed must be a 64-bit unsigned integer")
+    return value
 
 
 def _encode_path_element(element: PathElement) -> bytes:
@@ -71,11 +82,7 @@ class SeedSpec:
     path: tuple[PathElement, ...] = ()
 
     def __post_init__(self) -> None:
-        # Plain ints skip the conversion: a Monte Carlo trial builds 2N + 1 of these.
-        if type(self.master_seed) is not int:
-            object.__setattr__(self, "master_seed", _index(self.master_seed, "master_seed"))
-        if not 0 <= self.master_seed < 2**64:
-            raise ValueError("master_seed must be a 64-bit unsigned integer")
+        object.__setattr__(self, "master_seed", _master_seed(self.master_seed))
         if isinstance(self.path, (str, bytes)):  # tuple() would split it into characters
             raise TypeError(f"path must be a tuple of elements, got {self.path!r}")
         object.__setattr__(self, "path", tuple(self.path))
@@ -87,7 +94,8 @@ class SeedSpec:
         return SeedSpec(self.master_seed, self.path + elements)
 
     def stream_key(self) -> bytes:
-        """32-byte key identifying this substream."""
+        """32-byte key identifying this substream (the slow oracle for
+        :func:`_derive_keys`)."""
         h = hashlib.blake2b(digest_size=32)
         h.update(_STREAM_DOMAIN)
         h.update(self.master_seed.to_bytes(8, "big"))
@@ -106,12 +114,30 @@ class SeedSpec:
         if count == 0:
             return np.zeros(0, dtype=np.uint8)
         key = self.stream_key()
-        n_blocks = -(-count // (_BLOCK_BYTES * 8))
+        n_blocks = -(-count // _BLOCK_BITS)
         buf = b"".join(
             hashlib.blake2b(i.to_bytes(8, "big"), key=key, digest_size=_BLOCK_BYTES).digest()
             for i in range(n_blocks)
         )
         return np.unpackbits(np.frombuffer(buf, dtype=np.uint8))[:count]
+
+
+def _encode_path(path: Iterable[PathElement]) -> bytes:
+    return b"".join(_encode_path_element(element) for element in path)
+
+
+def _derive_keys(master_seed: int, prefix: bytes, suffixes: Iterable[bytes]) -> Iterator[bytes]:
+    """The stream key of each path *prefix* ‖ *suffix* under *master_seed*,
+    with prefix and suffixes already encoded by :func:`_encode_path`.  The
+    hash of domain ‖ master ‖ prefix is taken once and copied per child, so
+    each key equals ``SeedSpec(master_seed, path).stream_key()``."""
+    state = hashlib.blake2b(_STREAM_DOMAIN, digest_size=32)
+    state.update(_master_seed(master_seed).to_bytes(8, "big"))
+    state.update(prefix)
+    for suffix in suffixes:
+        child = state.copy()
+        child.update(suffix)
+        yield child.digest()
 
 
 def _all_bipolar(samples: np.ndarray) -> bool:
@@ -220,6 +246,14 @@ class ReferenceSystem:
 
     __slots__ = ("_samples",)
 
+    @classmethod
+    def _wrap(cls, samples: np.ndarray) -> "ReferenceSystem":
+        # Trusted constructor for a (2, N, K) int8 array of ±1 samples.
+        refsys = object.__new__(cls)
+        samples.setflags(write=False)
+        refsys._samples = samples
+        return refsys
+
     def __init__(self, samples: np.ndarray):
         raw = np.asarray(samples)
         if raw.ndim != 3 or raw.shape[0] != 2:
@@ -256,15 +290,37 @@ class ReferenceSystem:
         return f"ReferenceSystem(N={self.n_bits}, K={self.clocks})"
 
 
+_BIT_PREFIX = _encode_path(("bit",))
+
+
+@functools.lru_cache(maxsize=16)
+def _bit_suffixes(n_bits: int) -> tuple[bytes, ...]:
+    """The encoded path suffixes (r, "L") for r = 1..N, then (r, "H")."""
+    return tuple(_encode_path((r, half)) for half in "LH" for r in range(1, n_bits + 1))
+
+
 def make_reference_system(master_seed: int, n_bits: int, clocks: int) -> ReferenceSystem:
-    """Build the 2N reference waves from distinct substreams of one seed."""
+    """Build the 2N reference waves from distinct substreams of one seed:
+    L_r is the stream at path ("bit", r, "L") and H_r at ("bit", r, "H")."""
+    if type(n_bits) is not int:  # plain ints skip the conversion
+        n_bits = _index(n_bits, "n_bits")
+    if type(clocks) is not int:
+        clocks = _index(clocks, "clocks")
     if n_bits < 0 or clocks < 0:
         raise ValueError("bit and clock counts must be non-negative")
-    root = SeedSpec(master_seed)
-    bits = np.empty((2, n_bits, clocks), dtype=np.int8)
-    for half, r in np.ndindex(2, n_bits):
-        bits[half, r] = root.child("bit", r + 1, "LH"[half]).bits(clocks)
-    return ReferenceSystem(2 * bits - 1)
+    keys = _derive_keys(master_seed, _BIT_PREFIX, _bit_suffixes(n_bits))
+    n_blocks = -(-clocks // _BLOCK_BITS)
+    if n_blocks == 1:
+        first = (0).to_bytes(8, "big")
+        stream = b"".join(hashlib.blake2b(first, key=key, digest_size=_BLOCK_BYTES).digest()
+                          for key in keys)
+    else:
+        counters = [i.to_bytes(8, "big") for i in range(n_blocks)]
+        stream = b"".join(hashlib.blake2b(counter, key=key, digest_size=_BLOCK_BYTES).digest()
+                          for key in keys for counter in counters)
+    bits = np.unpackbits(np.frombuffer(stream, dtype=np.uint8))
+    bits = bits.reshape(2, n_bits, n_blocks * _BLOCK_BITS)[..., :clocks].view(np.int8)
+    return ReferenceSystem._wrap(2 * bits - 1)
 
 
 def multiply(a: ClockedWave, b: ClockedWave) -> ClockedWave:

@@ -1,3 +1,4 @@
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -28,3 +29,13 @@ def golden(request):
         assert content == expected, f"output differs from golden {name}"
 
     return check
+
+
+@pytest.fixture(scope="session")
+def bench_oracles():
+    """bench/oracles.py, which is written apart from nbl_lab."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "oracles.py"
+    spec = importlib.util.spec_from_file_location("bench_oracles", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

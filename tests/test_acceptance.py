@@ -132,14 +132,16 @@ def test_c06_readout_oracle_equivalence():
     announce(6, "fast and brute-force readouts agree on 1000 planted instances (N<=12)")
 
 
-def test_c07_failure_rate_scaling():
+def test_c07_failure_rate_scaling(bench_oracles):
     started = time.perf_counter()
     trials = 100_000
+    failures = {}
 
     # geometric decay at K = 2N
     rates = {}
     for n_bits in (6, 8, 10):
-        rates[n_bits] = count_failures(n_bits, 2 * n_bits, trials, SEED) / trials
+        failures[n_bits, 2 * n_bits] = count_failures(n_bits, 2 * n_bits, trials, SEED)
+        rates[n_bits] = failures[n_bits, 2 * n_bits] / trials
     for low, high in ((6, 8), (8, 10)):
         ratio = rates[low] / rates[high]
         assert 2.0 <= ratio <= 8.0, f"decay ratio {ratio} outside [2, 8]"
@@ -150,8 +152,15 @@ def test_c07_failure_rate_scaling():
     exact_success = 1.0
     for k in range(1, n_bits + 1):
         exact_success *= 1 - 2.0**-k
-    measured_success = 1 - count_failures(n_bits, n_bits, trials, SEED) / trials
+    failures[n_bits, n_bits] = count_failures(n_bits, n_bits, trials, SEED)
+    measured_success = 1 - failures[n_bits, n_bits] / trials
     assert abs(measured_success - exact_success) <= 0.01
+
+    # every count within the 1e-9 binomial interval of the exact rate 1 - prod_{i<N} (1 - 2^(i-K))
+    for (n_bits, clocks), count in failures.items():
+        exact_rate = float(1 - bench_oracles.full_rank_probability(n_bits, clocks))
+        lo, hi = bench_oracles.binomial_interval(trials, exact_rate)
+        assert lo <= count <= hi, f"N={n_bits} K={clocks}: {count} failures outside [{lo}, {hi}]"
 
     elapsed = time.perf_counter() - started
     assert elapsed < 300.0

@@ -1,11 +1,14 @@
 """GF(2) elimination, the two readout routes, and the failure-rate harness."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nbl_lab import (
+    MAX_ENUMERATED_DEFICIT,
     EnumerationCapError,
     Gf2System,
     IntegerWave,
@@ -39,6 +42,31 @@ def brute_solutions(n_vars, rows):
         if ok:
             solutions.append(assignment)
     return solutions
+
+
+def gf2_system_readout(wave, refsys, max_enumerated_deficit=MAX_ENUMERATED_DEFICIT):
+    """The oracle decoder: one Gf2System row per clock, bit r-1 for a_r(t)
+    and bit N for the right-hand side, solved by Gauss-Jordan elimination."""
+    samples = np.asarray(wave.samples)
+    if not np.all((samples == 1) | (samples == -1)):
+        return ReadoutResult.from_survivors(())
+    n_bits = refsys.n_bits
+    sign_l, sign_h = refsys.samples == -1
+    rhs = (samples == -1) ^ np.logical_xor.reduce(sign_l, axis=0)
+    columns = np.vstack([sign_l ^ sign_h, rhs])
+    rows = [sum(int(bit) << r for r, bit in enumerate(columns[:, t])) for t in range(refsys.clocks)]
+    system = Gf2System(n_bits, rows)
+    if not system.consistent:
+        return ReadoutResult.from_survivors(())
+    if system.rank_deficit > max_enumerated_deficit:
+        return ReadoutResult(None, 1 << system.rank_deficit)
+    return ReadoutResult.from_survivors(ProductString(n_bits, m) for m in system.iter_solutions())
+
+
+def flip_one_sample(wave, clock):
+    samples = wave.samples.astype(np.int64)
+    samples[clock] = -samples[clock]
+    return IntegerWave(samples)
 
 
 class TestGf2System:
@@ -252,6 +280,30 @@ class TestGf2FastReadout:
             assert planted in brute.survivors
 
 
+class TestReadoutKernel:
+    """gf2_fast_readout against the Gf2System decoder."""
+
+    @given(st.integers(0, 12), st.sampled_from([0, 1, 2, 5, 8, 12, 16, 24, 511, 512, 513]),
+           st.integers(0, 2**64 - 1), st.integers(0, 12), st.booleans(), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_gf2_system(self, n_bits, clocks, master_seed, max_deficit, flip, data):
+        refsys, planted, wave = plant_trial(master_seed, 0, n_bits, clocks)
+        if flip and clocks:
+            wave = flip_one_sample(wave, data.draw(st.integers(0, clocks - 1), label="clock"))
+        fast = gf2_fast_readout(wave, refsys, max_enumerated_deficit=max_deficit)
+        assert fast == gf2_system_readout(wave, refsys, max_enumerated_deficit=max_deficit)
+
+    # K = 0 and 40 leave deficits above the enumeration threshold.
+    @pytest.mark.parametrize("clocks", [0, 40, 64, 70, 513])
+    @pytest.mark.parametrize("flip", [False, True])
+    def test_matches_gf2_system_at_64_bits(self, clocks, flip):
+        refsys, planted, wave = plant_trial(SEED, clocks, 64, clocks)
+        if flip and clocks:
+            wave = flip_one_sample(wave, clocks // 2)
+        fast = gf2_fast_readout(wave, refsys)
+        assert fast == gf2_system_readout(wave, refsys)
+
+
 class TestPlantTrial:
     def test_deterministic(self):
         a_sys, a_ps, a_wave = plant_trial(SEED, 3, 5, 16)
@@ -316,6 +368,23 @@ class TestCountFailures:
         clocks = data.draw(st.integers(0, 2 * n_bits + 2), label="clocks")
         expected = decoder_failures(n_bits, clocks, trials, master_seed)
         assert count_failures(n_bits, clocks, trials, master_seed) == expected
+
+    @pytest.mark.parametrize("args,message", [
+        ((True, 4, 2, SEED), "n_bits must be an integer, got True"),
+        ((2.0, 4, 2, SEED), "n_bits must be an integer, got 2.0"),
+        ((2, True, 2, SEED), "clocks must be an integer, got True"),
+        ((2, 4.5, 2, SEED), "clocks must be an integer, got 4.5"),
+        ((2, 4, True, SEED), "trials must be an integer, got True"),
+        ((2, 4, 2.0, SEED), "trials must be an integer, got 2.0"),
+        ((2, 4, 2, 5.0), "master_seed must be an integer, got 5.0"),
+    ])
+    def test_counts_must_be_integers(self, args, message):
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+            count_failures(*args)
+
+    def test_numpy_counts_accepted(self):
+        assert count_failures(np.int64(6), np.uint8(8), np.int32(50), np.uint64(SEED)) == \
+            count_failures(6, 8, 50, SEED)
 
     @pytest.mark.parametrize("clocks", [64, 66])
     def test_matches_planted_decoder_past_one_word(self, clocks):

@@ -1,6 +1,7 @@
 """Wave generation determinism, algebra identities, and finite-clock
 orthogonality statistics."""
 
+import re
 import statistics
 
 import numpy as np
@@ -20,10 +21,13 @@ from nbl_lab import (
     save_wave_file,
     time_average_product,
 )
+from nbl_lab.rtw import _derive_keys, _encode_path
 
 SEED = 0xD1CEBA5E
 
 bipolar_lists = st.lists(st.sampled_from([-1, 1]), min_size=0, max_size=64)
+paths = st.lists(st.one_of(st.integers(-2**63, 2**63 - 1), st.text(max_size=8)),
+                 max_size=4).map(tuple)
 
 
 def fixed_wave(tag, clocks, seed=SEED):
@@ -88,6 +92,13 @@ class TestSeedSpec:
             SeedSpec(2, ("a",)).stream_key(),
         }
         assert len(keys) == 5
+
+    @given(st.integers(0, 2**64 - 1), paths, st.lists(paths, max_size=5))
+    @settings(max_examples=200)
+    def test_prefix_derived_keys_equal_stream_keys(self, master_seed, prefix, suffixes):
+        keys = _derive_keys(master_seed, _encode_path(prefix), map(_encode_path, suffixes))
+        assert list(keys) == [SeedSpec(master_seed, prefix + suffix).stream_key()
+                              for suffix in suffixes]
 
     def test_derive_seed_is_u64_and_stable(self):
         derived = SeedSpec(99, ("trial", 7)).derive_seed()
@@ -337,6 +348,31 @@ class TestReferenceSystem:
     def test_negative_bits_rejected(self):
         with pytest.raises(ValueError):
             make_reference_system(SEED, -1, 8)
+
+    @pytest.mark.parametrize("clocks", [0, 1, 511, 512, 513, 1030])
+    @pytest.mark.parametrize("n_bits", [0, 1, 12])
+    def test_samples_are_the_bit_substreams(self, n_bits, clocks):
+        # 512 samples per stream block; K straddles the block edges.
+        expected = np.array([[2 * SeedSpec(SEED, ("bit", r, half)).bits(clocks).astype(np.int8) - 1
+                              for r in range(1, n_bits + 1)] for half in "LH"], dtype=np.int8)
+        samples = make_reference_system(SEED, n_bits, clocks).samples
+        assert samples.dtype == np.int8
+        assert np.array_equal(samples, expected.reshape(2, n_bits, clocks))
+
+    @pytest.mark.parametrize("args,message", [
+        ((SEED, True, 4), "n_bits must be an integer, got True"),
+        ((SEED, 2.0, 4), "n_bits must be an integer, got 2.0"),
+        ((SEED, 2, True), "clocks must be an integer, got True"),
+        ((SEED, 2, 4.0), "clocks must be an integer, got 4.0"),
+        ((SEED, 2, "4"), "clocks must be an integer, got '4'"),
+    ])
+    def test_counts_must_be_integers(self, args, message):
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+            make_reference_system(*args)
+
+    def test_numpy_counts_accepted(self):
+        system = make_reference_system(SEED, np.int64(3), np.uint16(16))
+        assert np.array_equal(system.samples, make_reference_system(SEED, 3, 16).samples)
 
 
 class TestWaveFiles:

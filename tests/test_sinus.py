@@ -1,9 +1,6 @@
 """Harmonic assignments, degeneracy scans, bandwidth formulas, and the
 complex-exponential realization."""
 
-import importlib.util
-from pathlib import Path
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -41,15 +38,6 @@ def per_string_degeneracies(representation):
         if len(members) >= 2
     )
     return DegeneracyReport(representation.kind, representation.n_bits, groups)
-
-
-def bench_oracles():
-    """bench/oracles.py, which is written apart from nbl_lab."""
-    path = Path(__file__).resolve().parents[1] / "bench" / "oracles.py"
-    spec = importlib.util.spec_from_file_location("bench_oracles", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 class TestValueFrequency:
@@ -170,12 +158,12 @@ class TestFindDegeneracies:
         representation = rep(kind, n_bits)
         assert find_degeneracies(representation) == per_string_degeneracies(representation)
 
-    def test_linear_sixteen_bits_matches_closed_form(self):
+    def test_linear_sixteen_bits_matches_closed_form(self, bench_oracles):
         # A string with k H selections sits at N^2 + k; bench/oracles.py
         # lists the groups k = 1..N-1 with their masks ascending.
         report = find_degeneracies(rep(LINEAR, 16))
         groups = [(g.frequency, [ps.mask for ps in g.members]) for g in report.groups]
-        assert groups == bench_oracles().linear_degeneracy_groups(16)
+        assert groups == bench_oracles.linear_degeneracy_groups(16)
         assert all(ps.n_bits == 16 for g in report.groups for ps in g.members)
         assert report.total_collided == 2**16 - 2
 
