@@ -113,13 +113,16 @@ class SeedSpec:
             raise ValueError("bit count must be non-negative")
         if count == 0:
             return np.zeros(0, dtype=np.uint8)
-        key = self.stream_key()
-        n_blocks = -(-count // _BLOCK_BITS)
-        buf = b"".join(
-            hashlib.blake2b(i.to_bytes(8, "big"), key=key, digest_size=_BLOCK_BYTES).digest()
-            for i in range(n_blocks)
-        )
+        buf = _stream_bytes((self.stream_key(),), -(-count // _BLOCK_BITS))
         return np.unpackbits(np.frombuffer(buf, dtype=np.uint8))[:count]
+
+
+def _stream_bytes(keys: Iterable[bytes], n_blocks: int) -> bytes:
+    """The first *n_blocks* blocks of each key's stream, key after key: block
+    i is the keyed blake2b digest of the 8-byte big-endian counter i."""
+    counters = [i.to_bytes(8, "big") for i in range(n_blocks)]
+    return b"".join(hashlib.blake2b(counter, key=key, digest_size=_BLOCK_BYTES).digest()
+                    for key in keys for counter in counters)
 
 
 def _encode_path(path: Iterable[PathElement]) -> bytes:
@@ -310,15 +313,7 @@ def make_reference_system(master_seed: int, n_bits: int, clocks: int) -> Referen
         raise ValueError("bit and clock counts must be non-negative")
     keys = _derive_keys(master_seed, _BIT_PREFIX, _bit_suffixes(n_bits))
     n_blocks = -(-clocks // _BLOCK_BITS)
-    if n_blocks == 1:
-        first = (0).to_bytes(8, "big")
-        stream = b"".join(hashlib.blake2b(first, key=key, digest_size=_BLOCK_BYTES).digest()
-                          for key in keys)
-    else:
-        counters = [i.to_bytes(8, "big") for i in range(n_blocks)]
-        stream = b"".join(hashlib.blake2b(counter, key=key, digest_size=_BLOCK_BYTES).digest()
-                          for key in keys for counter in counters)
-    bits = np.unpackbits(np.frombuffer(stream, dtype=np.uint8))
+    bits = np.unpackbits(np.frombuffer(_stream_bytes(keys, n_blocks), dtype=np.uint8))
     bits = bits.reshape(2, n_bits, n_blocks * _BLOCK_BITS)[..., :clocks].view(np.int8)
     return ReferenceSystem._wrap(2 * bits - 1)
 

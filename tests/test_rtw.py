@@ -1,6 +1,7 @@
 """Wave generation determinism, algebra identities, and finite-clock
 orthogonality statistics."""
 
+import hashlib
 import re
 import statistics
 
@@ -104,6 +105,17 @@ class TestSeedSpec:
         derived = SeedSpec(99, ("trial", 7)).derive_seed()
         assert 0 <= derived < 2**64
         assert derived == SeedSpec(99, ("trial", 7)).derive_seed()
+
+    @pytest.mark.parametrize("count", [1, 511, 512, 513, 1030, 1536])
+    def test_bits_are_keyed_blake2b_of_the_block_counter(self, count):
+        # Block i of a stream is blake2b(i as 8 big-endian bytes) keyed by the
+        # stream key; blocks 1 and 2 tell the counter's byte order.
+        spec = SeedSpec(SEED, ("stream", 3))
+        blocks = b"".join(
+            hashlib.blake2b(i.to_bytes(8, "big"), key=spec.stream_key(), digest_size=64).digest()
+            for i in range(3))
+        expected = np.unpackbits(np.frombuffer(blocks, dtype=np.uint8))[:count]
+        assert np.array_equal(spec.bits(count), expected)
 
 
 class TestGenerateRtw:
