@@ -38,6 +38,14 @@ def _seed(text: str) -> int:
         raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
 
 
+def _one_int(text: str) -> tuple[int]:
+    """One integer, as the 1-tuple that the -range form would give."""
+    try:
+        return (int(text),)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+
+
 def _int_list(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(part) for part in text.split(","))
@@ -61,16 +69,18 @@ def build_parser() -> argparse.ArgumentParser:
     for name in EXPERIMENTS:
         sub = subparsers.add_parser(name, help=f"run the {name} experiment")
         reads = _INPUTS[name]
-        if "bits" in reads:
-            sub.add_argument("--bits", type=int, help="single noise-bit count N")
-            sub.add_argument("--bits-range", type=_int_list, metavar="N1,N2,...",
-                             help="comma-separated noise-bit counts")
-        if "clocks" in reads:
-            sub.add_argument("--clocks", type=int, help="single clock count K")
-            sub.add_argument("--clocks-range", type=_int_list, metavar="K1,K2,...",
-                             help="comma-separated clock counts")
+        for setting, symbol, noun in (("bits", "N", "noise-bit"), ("clocks", "K", "clock")):
+            if setting in reads:
+                group = sub.add_mutually_exclusive_group()
+                group.add_argument(f"--{setting}", dest=setting, type=_one_int, metavar=symbol,
+                                   help=f"single {noun} count {symbol}")
+                group.add_argument(f"--{setting}-range", dest=setting, type=_int_list,
+                                   metavar=f"{symbol}1,{symbol}2,...",
+                                   help=f"comma-separated {noun} counts")
+                group.set_defaults(**{setting: reads[setting]})
         if "trials" in reads:
-            sub.add_argument("--trials", type=int, help="trials (or seed pairs) per grid point")
+            sub.add_argument("--trials", type=int, default=reads["trials"],
+                             help="trials (or seed pairs) per grid point")
         if "seed" in reads:
             sub.add_argument("--seed", type=_seed, help="64-bit master seed (overrides env)")
         if "epsilon" in reads:
@@ -98,33 +108,17 @@ def _resolve_seed(flag_value: int | None) -> int:
     return DEFAULT_MASTER_SEED
 
 
-def _pick_range(single: int | None, many: tuple[int, ...] | None,
-                default: tuple[int, ...], what: str) -> tuple[int, ...]:
-    if single is not None and many is not None:
-        raise ValueError(f"give either --{what} or --{what}-range, not both")
-    if single is not None:
-        return (single,)
-    if many is not None:
-        return many
-    return default
-
-
 def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    defaults = _INPUTS[args.experiment]
     given = vars(args)
-    bits = _pick_range(given.get("bits"), given.get("bits_range"), defaults.get("bits", ()), "bits")
-    clocks = _pick_range(given.get("clocks"), given.get("clocks_range"),
-                         defaults.get("clocks", ()), "clocks")
-    trials = given.get("trials")
     grids = {name: given[name] for name in ("epsilons", "p_targets") if given.get(name) is not None}
     # A seedless experiment never consults NBL_LAB_SEED; it echoes the default,
     # and an experiment that reads no trial count echoes trials = 1.
-    seeded = "seed" in defaults
+    seeded = "seed" in _INPUTS[args.experiment]
     return ExperimentConfig(
         experiment=args.experiment,
-        bits=bits,
-        clocks=clocks,
-        trials=trials if trials is not None else defaults.get("trials", 1),
+        bits=given.get("bits", ()),
+        clocks=given.get("clocks", ()),
+        trials=given.get("trials", 1),
         master_seed=_resolve_seed(given.get("seed")) if seeded else DEFAULT_MASTER_SEED,
         **grids,
     )

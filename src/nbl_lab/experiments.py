@@ -11,12 +11,13 @@ import json
 import math
 import statistics
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from ._version import __version__
 from .hyperspace import expand_universe, realize_superposition, synthesize_universe
 from .readout import count_failures, stacho_clock_bound, timeshifted_readout_steps
-from .rtw import SeedSpec, _index, generate_rtw, make_reference_system, time_average_product
+from .rtw import (_BLOCK_BITS, SeedSpec, _index, _master_seed, generate_rtw, make_reference_system,
+                  time_average_product)
 from .sinus import (
     EXPONENTIAL,
     LINEAR,
@@ -74,15 +75,13 @@ class ExperimentConfig:
             object.__setattr__(self, "bits", tuple(_index(n, "bits") for n in self.bits))
             object.__setattr__(self, "clocks", tuple(_index(k, "clocks") for k in self.clocks))
             object.__setattr__(self, "trials", _index(self.trials, "trials"))
-            object.__setattr__(self, "master_seed", _index(self.master_seed, "master_seed"))
+            if self.trials < 1:
+                raise ValueError("trials must be at least 1")
+            object.__setattr__(self, "master_seed", _master_seed(self.master_seed))
         except TypeError as exc:
             raise ValueError(str(exc)) from exc
         object.__setattr__(self, "epsilons", tuple(float(e) for e in self.epsilons))
         object.__setattr__(self, "p_targets", tuple(float(p) for p in self.p_targets))
-        if self.trials < 1:
-            raise ValueError("trials must be at least 1")
-        if not 0 <= self.master_seed < 2**64:
-            raise ValueError("master_seed must be a 64-bit unsigned integer")
         if any(n < 0 for n in self.bits):
             raise ValueError("bit counts must be non-negative")
         if any(k < 0 for k in self.clocks):
@@ -92,15 +91,9 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be finite numbers, got {getattr(self, name)}")
 
     def echo(self) -> dict:
-        return {
-            "experiment": self.experiment,
-            "bits": list(self.bits),
-            "clocks": list(self.clocks),
-            "trials": self.trials,
-            "master_seed": self.master_seed,
-            "epsilons": list(self.epsilons),
-            "p_targets": list(self.p_targets),
-        }
+        """Every field in declaration order, as plain JSON types (tuples as lists)."""
+        return {name: list(value) if isinstance(value, tuple) else value
+                for name, value in asdict(self).items()}
 
 
 @dataclass
@@ -266,9 +259,9 @@ def run_readout_scaling(config: ExperimentConfig) -> ExperimentReport:
     if not config.bits or not config.clocks:
         raise ValueError("readout scaling requires bit and clock counts")
     # Per trial: one trial key, then per substream one key and a blake2b
-    # call per 512 samples; the +1 terms keep N = 0 or K = 0 from reading 0.
-    _refuse_over_cap("readout scaling: blake2b calls sum(trials*(1+2N*(1+ceil(K/512))))",
-                     sum(config.trials * (1 + 2 * n * (1 + -(-k // 512)))
+    # call per block of samples; the +1 terms keep N = 0 or K = 0 from reading 0.
+    _refuse_over_cap(f"readout scaling: blake2b calls sum(trials*(1+2N*(1+ceil(K/{_BLOCK_BITS}))))",
+                     sum(config.trials * (1 + 2 * n * (1 + -(-k // _BLOCK_BITS)))
                          for n in config.bits for k in config.clocks), READOUT_HASH_CAP)
     records = []
     for n_bits in sorted(config.bits):
@@ -310,13 +303,14 @@ def run_sinus_comparison(config: ExperimentConfig) -> ExperimentReport:
             })
     records.sort(key=lambda r: (r["N"], _KIND_ORDER[r["kind"]]))
     max_bits = max(config.bits)
+    linear, exponential = (SinusRepresentation(kind, max_bits) for kind in (LINEAR, EXPONENTIAL))
     table = [
         {
             "r": r,
-            "linear_L": value_frequency(SinusRepresentation(LINEAR, max_bits), r, "L"),
-            "linear_H": value_frequency(SinusRepresentation(LINEAR, max_bits), r, "H"),
-            "exponential_L": value_frequency(SinusRepresentation(EXPONENTIAL, max_bits), r, "L"),
-            "exponential_H": value_frequency(SinusRepresentation(EXPONENTIAL, max_bits), r, "H"),
+            "linear_L": value_frequency(linear, r, "L"),
+            "linear_H": value_frequency(linear, r, "H"),
+            "exponential_L": value_frequency(exponential, r, "L"),
+            "exponential_H": value_frequency(exponential, r, "H"),
         }
         for r in range(1, max_bits + 1)
     ]

@@ -117,9 +117,6 @@ class Superposition:
             if ps.n_bits != self.n_bits:
                 raise ValueError(f"member {ps} does not have {self.n_bits} bits")
 
-    def sorted_members(self) -> list[ProductString]:
-        return sorted(self.members)
-
     def __len__(self) -> int:
         return len(self.members)
 
@@ -143,9 +140,10 @@ def realize_superposition(s: Superposition, refsys: ReferenceSystem) -> IntegerW
     """Samplewise sum of the realized members; empty superposition is all zeros."""
     if s.n_bits != refsys.n_bits:
         raise ValueError(f"superposition has {s.n_bits} bits, system has {refsys.n_bits}")
+    # Sums of ±1 samples are exact in int64, so the member order does not matter.
     acc = np.zeros(refsys.clocks, dtype=np.int64)
-    for ps in s.sorted_members():
-        acc = acc + realize_product(ps, refsys).samples
+    for ps in s.members:
+        acc += realize_product(ps, refsys).samples
     return IntegerWave._wrap(acc)
 
 
@@ -174,11 +172,11 @@ def enumerate_superpositions(n_bits: int) -> int:
     """Exhaustively build every superposition over N bits and count them.
 
     The count equals 2^(2^N): every subset of the 2^N product strings is a
-    distinct logic value.  The subsets are built by doubling: each string
-    joins a copy of every subset built so far.
+    distinct logic value.  The superpositions are built by doubling: each
+    string joins a copy of every superposition built so far.
     """
     n_bits = _enumeration_bits(n_bits, "superposition enumeration", SUPERPOSITION_COUNT_CAP)
-    subsets = [frozenset()]
+    superpositions = [Superposition(n_bits)]
     for ps in ProductString.all_strings(n_bits):
-        subsets += [subset | {ps} for subset in subsets]
-    return len({Superposition(n_bits, members) for members in subsets})
+        superpositions += [Superposition(n_bits, s.members | {ps}) for s in superpositions]
+    return len(set(superpositions))

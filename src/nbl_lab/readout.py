@@ -22,7 +22,7 @@ from typing import Iterable, Iterator, Union
 
 import numpy as np
 
-from .hyperspace import PRODUCT_STRING_CAP, EnumerationCapError, ProductString, realize_product
+from .hyperspace import PRODUCT_STRING_CAP, ProductString, _enumeration_bits, realize_product
 from .rtw import (ClockedWave, IntegerWave, ReferenceSystem, SeedSpec, _all_bipolar,
                   _derive_keys, _encode_path, _encode_path_element, _index,
                   make_reference_system)
@@ -239,8 +239,7 @@ def brute_force_readout(wave: AnyWave, refsys: ReferenceSystem) -> ReadoutResult
             eliminates every candidate).
         refsys: reference system; n_bits must not exceed PRODUCT_STRING_CAP.
     """
-    if refsys.n_bits > PRODUCT_STRING_CAP:
-        raise EnumerationCapError("brute-force readout", refsys.n_bits, PRODUCT_STRING_CAP)
+    _enumeration_bits(refsys.n_bits, "brute-force readout", PRODUCT_STRING_CAP)
     target = _bipolar_samples(wave, refsys)
     n_bits, clocks = refsys.n_bits, refsys.clocks
     if target is None:

@@ -109,6 +109,8 @@ class SeedSpec:
 
     def bits(self, count: int) -> np.ndarray:
         """First *count* bits of the substream as a uint8 0/1 array."""
+        if type(count) is not int:  # plain ints skip the conversion
+            count = _index(count, "count")
         if count < 0:
             raise ValueError("bit count must be non-negative")
         if count == 0:
@@ -236,6 +238,8 @@ def generate_rtw(seed: SeedSpec, clocks: int) -> ClockedWave:
     Bit-reproducible for equal (seed, clocks); a shorter call returns a
     prefix of a longer call with the same seed.
     """
+    if type(clocks) is not int:  # plain ints skip the conversion
+        clocks = _index(clocks, "clocks")
     if clocks < 0:
         raise ValueError("clock count must be non-negative")
     bits = seed.bits(clocks)

@@ -142,6 +142,7 @@ def readout_sample_count(rep: SinusRepresentation) -> int:
 def realize_sinus_product(rep: SinusRepresentation, ps: ProductString, samples: int) -> np.ndarray:
     """Complex-exponential realization of a product string over one window
     of length 1/f0: s[k] = exp(j 2π F k / samples), F = product frequency."""
+    samples = _index(samples, "samples")
     if samples < 1:
         raise ValueError("need at least one sample")
     frequency = product_frequency(rep, ps)

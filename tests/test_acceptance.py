@@ -132,6 +132,7 @@ def test_c06_readout_oracle_equivalence():
     announce(6, "fast and brute-force readouts agree on 1000 planted instances (N<=12)")
 
 
+@pytest.mark.slow
 def test_c07_failure_rate_scaling(bench_oracles):
     started = time.perf_counter()
     trials = 100_000

@@ -154,9 +154,13 @@ class TestExitCodes:
         assert "configuration error" in err
 
     def test_both_range_forms_exit_2(self, capsys):
-        code, _, err = run_cli(
-            ["universe-check", "--bits", "2", "--bits-range", "2,3"], capsys)
-        assert code == 2
+        for single, many in (("--bits", "--bits-range"), ("--clocks", "--clocks-range")):
+            with pytest.raises(SystemExit) as exc:
+                main(["universe-check", single, "2", many, "2,3"])
+            assert exc.value.code == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert f"argument {many}: not allowed with argument {single}\n" in captured.err
 
     @pytest.mark.parametrize("flag", ["--epsilon", "--p-target"])
     @pytest.mark.parametrize("value", ["nan", "inf"])
@@ -191,6 +195,15 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main(["bounds-table", "--bits-range", "2,x"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("flag", ["--bits", "--clocks"])
+    def test_non_integer_count_exits_2(self, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["universe-check", flag, "x"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument {flag}: expected an integer, got 'x'" in captured.err
 
     def test_internal_failure_exits_1(self, capsys, monkeypatch):
         import nbl_lab.cli as cli_module

@@ -1,5 +1,6 @@
 """Experiment runners: determinism, record schemas, caps, and golden outputs."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -80,6 +81,7 @@ class TestExperimentConfig:
     def test_echo_is_plain_json_types(self):
         echo = ExperimentConfig("x", bits=(1, 2), clocks=(3,)).echo()
         assert json.loads(json.dumps(echo)) == echo
+        assert list(echo) == [f.name for f in dataclasses.fields(ExperimentConfig)]
 
 
 class TestReportRendering:

@@ -115,10 +115,6 @@ class TestSuperposition:
         assert s == Superposition(2, [ProductString(2, 1)])
         assert hash(s) == hash(Superposition(2, [ProductString(2, 1)]))
 
-    def test_sorted_members(self):
-        s = Superposition(2, [ProductString(2, 3), ProductString(2, 0)])
-        assert [ps.mask for ps in s.sorted_members()] == [0, 3]
-
 
 class TestRealizeProduct:
     def test_empty_product_is_all_ones(self):
@@ -250,7 +246,7 @@ class TestExpandUniverse:
 
     def test_two_bits(self):
         universe = expand_universe(2)
-        assert [str(ps) for ps in universe.sorted_members()] == ["LL", "HL", "LH", "HH"]
+        assert [str(ps) for ps in sorted(universe.members)] == ["LL", "HL", "LH", "HH"]
 
     def test_ten_bits_count(self):
         assert len(expand_universe(10)) == 1024

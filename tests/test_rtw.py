@@ -117,6 +117,15 @@ class TestSeedSpec:
         expected = np.unpackbits(np.frombuffer(blocks, dtype=np.uint8))[:count]
         assert np.array_equal(spec.bits(count), expected)
 
+    @pytest.mark.parametrize("count", [True, 2.5, "4"])
+    def test_bit_count_must_be_an_integer(self, count):
+        message = f"count must be an integer, got {count!r}"
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+            SeedSpec(SEED).bits(count)
+
+    def test_numpy_bit_count_accepted(self):
+        assert np.array_equal(SeedSpec(SEED).bits(np.uint16(20)), SeedSpec(SEED).bits(20))
+
 
 class TestGenerateRtw:
     def test_deterministic(self):
@@ -134,6 +143,15 @@ class TestGenerateRtw:
     def test_negative_clocks_rejected(self):
         with pytest.raises(ValueError):
             generate_rtw(SeedSpec(SEED), -1)
+
+    @pytest.mark.parametrize("clocks", [True, 2.5, "4"])
+    def test_clocks_must_be_an_integer(self, clocks):
+        message = f"clocks must be an integer, got {clocks!r}"
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+            generate_rtw(SeedSpec(SEED), clocks)
+
+    def test_numpy_clocks_accepted(self):
+        assert generate_rtw(SeedSpec(SEED), np.int64(20)) == generate_rtw(SeedSpec(SEED), 20)
 
     @pytest.mark.parametrize("short,long", [(5, 8), (100, 700), (512, 513), (1, 2048)])
     def test_prefix_stability(self, short, long):

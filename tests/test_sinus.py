@@ -1,6 +1,8 @@
 """Harmonic assignments, degeneracy scans, bandwidth formulas, and the
 complex-exponential realization."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -244,3 +246,14 @@ class TestRealizeSinusProduct:
     def test_needs_a_sample(self):
         with pytest.raises(ValueError):
             realize_sinus_product(rep(LINEAR, 1), ProductString(1, 0), 0)
+
+    @pytest.mark.parametrize("samples", [True, 2.5, "4"])
+    def test_sample_count_must_be_an_integer(self, samples):
+        message = f"samples must be an integer, got {samples!r}"
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+            realize_sinus_product(rep(LINEAR, 1), ProductString(1, 0), samples)
+
+    def test_numpy_sample_count_accepted(self):
+        ps = ProductString(1, 1)
+        assert np.array_equal(realize_sinus_product(rep(LINEAR, 1), ps, np.int32(8)),
+                              realize_sinus_product(rep(LINEAR, 1), ps, 8))
