@@ -5,6 +5,7 @@ and the low-cost product-form synthesis of the full-universe superposition.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Iterator
 
 import numpy as np
@@ -114,11 +115,34 @@ class Superposition:
             raise ValueError("bit count must be non-negative")
         object.__setattr__(self, "members", frozenset(self.members))
         for ps in self.members:
+            if not isinstance(ps, ProductString):
+                raise TypeError(f"members must be ProductStrings, got {ps!r}")
             if ps.n_bits != self.n_bits:
                 raise ValueError(f"member {ps} does not have {self.n_bits} bits")
 
+    @classmethod
+    def _wrap(cls, n_bits: int, members: frozenset[ProductString]) -> "Superposition":
+        # Trusted constructor: a plain int N and a frozenset of N-bit ProductStrings.
+        s = object.__new__(cls)
+        object.__setattr__(s, "n_bits", n_bits)
+        object.__setattr__(s, "members", members)
+        return s
+
     def __len__(self) -> int:
         return len(self.members)
+
+
+# Upper bound, in bytes, on each temporary array of realize_superposition.
+_CHUNK_BYTES = 1 << 20
+
+
+def _selections(masks: list[int], n_bits: int) -> np.ndarray:
+    """(len(masks), N) uint8 array whose row i, column r-1 is bit r of
+    masks[i] (1 selects H_r); masks are read by bytes, so any N works."""
+    width = (n_bits + 7) // 8
+    packed = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in masks), dtype=np.uint8)
+    return np.unpackbits(packed.reshape(len(masks), width), axis=1, count=n_bits,
+                         bitorder="little")
 
 
 def realize_product(ps: ProductString, refsys: ReferenceSystem) -> ClockedWave:
@@ -130,20 +154,37 @@ def realize_product(ps: ProductString, refsys: ReferenceSystem) -> ClockedWave:
     if ps.n_bits != refsys.n_bits:
         raise ValueError(f"product string has {ps.n_bits} bits, system has {refsys.n_bits}")
     n_bits = ps.n_bits
-    mask_bytes = np.frombuffer(ps.mask.to_bytes((n_bits + 7) // 8, "little"), dtype=np.uint8)
-    select = np.unpackbits(mask_bytes, bitorder="little")[:n_bits]
+    select = _selections([ps.mask], n_bits)[0]
     product = refsys.samples[select, np.arange(n_bits)].prod(axis=0, dtype=np.int8)
     return ClockedWave._wrap(product)
 
 
 def realize_superposition(s: Superposition, refsys: ReferenceSystem) -> IntegerWave:
-    """Samplewise sum of the realized members; empty superposition is all zeros."""
+    """Samplewise sum of the realized members; empty superposition is all zeros.
+
+    Still the expanded sum, N factors per member: each block of members
+    gathers its selected L_r/H_r rows as realize_product does, takes their
+    int8 product over the N factors and adds the block's column sum.
+    Blocks of members and of clocks keep every temporary within
+    _CHUNK_BYTES, whatever N, K and the member count.  The per-member sum
+    of realize_product is its oracle.
+    """
     if s.n_bits != refsys.n_bits:
         raise ValueError(f"superposition has {s.n_bits} bits, system has {refsys.n_bits}")
-    # Sums of ±1 samples are exact in int64, so the member order does not matter.
-    acc = np.zeros(refsys.clocks, dtype=np.int64)
-    for ps in s.members:
-        acc += realize_product(ps, refsys).samples
+    n_bits, clocks = refsys.n_bits, refsys.clocks
+    # Per block: members x N x span int8 rows, members x N intp indices and
+    # a span-long int64 column sum.  Sums of ±1 samples are exact in int64,
+    # so the member order does not matter.
+    span = max(1, min(clocks, _CHUNK_BYTES // max(n_bits, 8)))
+    per_block = max(1, _CHUNK_BYTES // (max(n_bits, 1) * max(span, 8)))
+    bits = np.arange(n_bits)
+    acc = np.zeros(clocks, dtype=np.int64)
+    members = iter(s.members)
+    while masks := [ps.mask for ps in islice(members, per_block)]:
+        select = _selections(masks, n_bits)
+        for start in range(0, clocks, span):
+            rows = refsys.samples[:, :, start:start + span][select, bits]
+            acc[start:start + span] += rows.prod(axis=1, dtype=np.int8).sum(axis=0, dtype=np.int64)
     return IntegerWave._wrap(acc)
 
 
@@ -165,7 +206,8 @@ def synthesize_universe(refsys: ReferenceSystem) -> IntegerWave:
 
 def expand_universe(n_bits: int) -> Superposition:
     """The superposition of all 2^N product strings (explicit enumeration)."""
-    return Superposition(n_bits, ProductString.all_strings(n_bits))
+    n_bits = _enumeration_bits(n_bits, "product-string enumeration", PRODUCT_STRING_CAP)
+    return Superposition._wrap(n_bits, frozenset(ProductString.all_strings(n_bits)))
 
 
 def enumerate_superpositions(n_bits: int) -> int:
@@ -173,10 +215,13 @@ def enumerate_superpositions(n_bits: int) -> int:
 
     The count equals 2^(2^N): every subset of the 2^N product strings is a
     distinct logic value.  The superpositions are built by doubling: each
-    string joins a copy of every superposition built so far.
+    string joins a copy of every superposition built so far.  Members come
+    from all_strings, so each superposition is built by the trusted
+    constructor.
     """
     n_bits = _enumeration_bits(n_bits, "superposition enumeration", SUPERPOSITION_COUNT_CAP)
-    superpositions = [Superposition(n_bits)]
+    superpositions = [Superposition._wrap(n_bits, frozenset())]
     for ps in ProductString.all_strings(n_bits):
-        superpositions += [Superposition(n_bits, s.members | {ps}) for s in superpositions]
+        single = frozenset((ps,))
+        superpositions += [Superposition._wrap(n_bits, s.members | single) for s in superpositions]
     return len(set(superpositions))

@@ -72,10 +72,17 @@ def product_frequency(rep: SinusRepresentation, ps: ProductString) -> int:
 
 @dataclass(frozen=True)
 class CollisionGroup:
-    """Product strings sharing one product frequency."""
+    """Product strings sharing one product frequency, held as their masks
+    in ascending order."""
 
     frequency: int
-    members: tuple[ProductString, ...]
+    n_bits: int
+    masks: tuple[int, ...]
+
+    @property
+    def members(self) -> tuple[ProductString, ...]:
+        """The group's N-bit product strings, built on demand in mask order."""
+        return tuple(ProductString(self.n_bits, m) for m in self.masks)
 
 
 @dataclass(frozen=True)
@@ -88,7 +95,7 @@ class DegeneracyReport:
 
     @property
     def total_collided(self) -> int:
-        return sum(len(g.members) for g in self.groups)
+        return sum(len(g.masks) for g in self.groups)
 
 
 def find_degeneracies(rep: SinusRepresentation) -> DegeneracyReport:
@@ -98,8 +105,9 @@ def find_degeneracies(rep: SinusRepresentation) -> DegeneracyReport:
 
     The 2^N frequencies come from N doubling steps: step r appends a copy
     shifted from f(L_r) to f(H_r), so index i holds the frequency of mask i.
-    A stable sort then keeps each group's masks ascending.
-    product_frequency is the per-string oracle.
+    A stable sort then keeps each group's masks ascending.  Groups hold
+    masks, so the scan builds no ProductString.  product_frequency is the
+    per-string oracle.
     """
     n_bits = _enumeration_bits(rep.n_bits, "product-string enumeration", PRODUCT_STRING_CAP)
     frequencies = np.zeros(1, dtype=np.int64)
@@ -110,8 +118,7 @@ def find_degeneracies(rep: SinusRepresentation) -> DegeneracyReport:
     distinct, starts, counts = np.unique(frequencies[masks], return_index=True, return_counts=True)
     collided = counts >= 2
     groups = tuple(
-        CollisionGroup(frequency,
-                       tuple(ProductString(n_bits, m) for m in masks[start:start + count].tolist()))
+        CollisionGroup(frequency, n_bits, tuple(masks[start:start + count].tolist()))
         for frequency, start, count in zip(distinct[collided].tolist(), starts[collided].tolist(),
                                            counts[collided].tolist())
     )

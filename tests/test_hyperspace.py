@@ -1,10 +1,14 @@
 """Product strings, superpositions, and the two universe synthesis routes."""
 
+import random
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from nbl_lab import hyperspace
 from nbl_lab import (
     ClockedWave,
     EnumerationCapError,
@@ -24,6 +28,22 @@ from nbl_lab import (
 )
 
 SEED = 0xD1CEBA5E
+
+
+@st.composite
+def member_sets(draw, max_bits=6):
+    """(N, frozenset of N-bit ProductStrings)."""
+    n_bits = draw(st.integers(0, max_bits))
+    masks = draw(st.frozensets(st.integers(0, (1 << n_bits) - 1)))
+    return n_bits, frozenset(ProductString(n_bits, m) for m in masks)
+
+
+def per_member_sum(superposition, system):
+    """The slow oracle: realize_product of each member, summed in int64."""
+    acc = np.zeros(system.clocks, dtype=np.int64)
+    for ps in superposition.members:
+        acc += realize_product(ps, system).samples
+    return IntegerWave(acc)
 
 
 class TestProductString:
@@ -115,6 +135,25 @@ class TestSuperposition:
         assert s == Superposition(2, [ProductString(2, 1)])
         assert hash(s) == hash(Superposition(2, [ProductString(2, 1)]))
 
+    @pytest.mark.parametrize("members", [[1, 2], "ab", [ProductString(2, 1), 3]])
+    def test_members_must_be_product_strings(self, members):
+        with pytest.raises(TypeError, match="^members must be ProductStrings, got "):
+            Superposition(2, members)
+
+    def test_mixed_width_members_refused(self):
+        with pytest.raises(ValueError, match="does not have 2 bits"):
+            Superposition(2, [ProductString(2, 1), ProductString(3, 1)])
+
+    @given(member_sets())
+    @settings(max_examples=100, deadline=None)
+    def test_trusted_constructor_agrees(self, n_and_members):
+        n_bits, members = n_and_members
+        trusted = Superposition._wrap(n_bits, members)
+        checked = Superposition(n_bits, members)
+        assert trusted == checked
+        assert hash(trusted) == hash(checked)
+        assert (trusted.n_bits, trusted.members, len(trusted)) == (n_bits, members, len(members))
+
 
 class TestRealizeProduct:
     def test_empty_product_is_all_ones(self):
@@ -178,6 +217,41 @@ class TestRealizeSuperposition:
         system = make_reference_system(SEED, 2, 8)
         with pytest.raises(ValueError):
             realize_superposition(Superposition(3), system)
+
+    @given(n_bits=st.integers(0, 12), clocks=st.sampled_from([0, 1, 127, 128, 129, 1000]),
+           density=st.sampled_from([0.0, 0.1, 0.5, 1.0]), seed=st.integers(0, 2**32))
+    @settings(max_examples=40, deadline=None)
+    @example(n_bits=12, clocks=1000, density=0.5, seed=1)
+    @example(n_bits=12, clocks=128, density=1.0, seed=2)
+    def test_matches_per_member_sum(self, n_bits, clocks, density, seed):
+        # K = 1000 at N = 12 puts 87 members in a block, so blocks end
+        # inside most superpositions drawn here.
+        rng = random.Random(seed)
+        members = [ProductString(n_bits, m) for m in range(1 << n_bits) if rng.random() < density]
+        superposition = Superposition(n_bits, members)
+        system = make_reference_system(seed, n_bits, clocks)
+        assert realize_superposition(superposition, system) == per_member_sum(superposition, system)
+
+    @given(high=st.lists(st.integers(2**64, 2**70 - 1), min_size=1, max_size=4),
+           low=st.lists(st.integers(0, 2**64 - 1), max_size=4),
+           clocks=st.sampled_from([1, 129, 1000]), seed=st.integers(0, 2**32))
+    @settings(max_examples=20, deadline=None)
+    def test_matches_per_member_sum_past_64_bits(self, high, low, clocks, seed):
+        superposition = Superposition(70, [ProductString(70, m) for m in high + low])
+        system = make_reference_system(seed, 70, clocks)
+        assert realize_superposition(superposition, system) == per_member_sum(superposition, system)
+
+    @pytest.mark.parametrize("budget", [1, 64, 4096])
+    @pytest.mark.parametrize("n_bits,clocks", [(0, 9), (5, 0), (5, 1), (5, 129), (70, 33)])
+    def test_block_size_does_not_change_the_sum(self, budget, n_bits, clocks):
+        # Budgets far below one block's natural size split both the
+        # members and the clocks into many blocks.
+        system = make_reference_system(SEED, n_bits, clocks)
+        masks = {(m * 0x9E3779B97F4A7C15) % (1 << n_bits) for m in range(32)}
+        superposition = Superposition(n_bits, [ProductString(n_bits, m) for m in masks])
+        with mock.patch.object(hyperspace, "_CHUNK_BYTES", budget):
+            wave = realize_superposition(superposition, system)
+        assert wave == per_member_sum(superposition, system)
 
 
 class TestSynthesizeUniverse:
@@ -259,6 +333,18 @@ class TestExpandUniverse:
         with pytest.raises(ValueError, match="N=-1 is negative"):
             expand_universe(-1)
 
+    @pytest.mark.parametrize("n_bits", range(0, 11))
+    def test_equals_checked_construction(self, n_bits):
+        universe = expand_universe(n_bits)
+        checked = Superposition(n_bits, ProductString.all_strings(n_bits))
+        assert universe == checked
+        assert hash(universe) == hash(checked)
+
+    def test_numpy_bit_count_is_stored_as_int(self):
+        universe = expand_universe(np.int64(3))
+        assert type(universe.n_bits) is int
+        assert universe == expand_universe(3)
+
 
 class TestEnumerateSuperpositions:
     @pytest.mark.parametrize("n_bits,count", [(0, 2), (1, 4), (2, 16), (3, 256)])
@@ -276,6 +362,13 @@ class TestEnumerateSuperpositions:
     def test_non_integer_count_refused(self):
         with pytest.raises(TypeError, match="^n_bits must be an integer, got 2.5$"):
             enumerate_superpositions(2.5)
+
+    @pytest.mark.parametrize("n_bits", range(0, 4))
+    def test_count_equals_checked_construction(self, n_bits):
+        strings = list(ProductString.all_strings(n_bits))
+        checked = {Superposition(n_bits, [ps for i, ps in enumerate(strings) if subset >> i & 1])
+                   for subset in range(1 << len(strings))}
+        assert enumerate_superpositions(n_bits) == len(checked)
 
 
 class TestDistinguishability:

@@ -2,6 +2,7 @@
 complex-exponential realization."""
 
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -35,7 +36,7 @@ def per_string_degeneracies(representation):
     for ps in ProductString.all_strings(representation.n_bits):
         by_frequency.setdefault(product_frequency(representation, ps), []).append(ps)
     groups = tuple(
-        CollisionGroup(frequency, tuple(sorted(members)))
+        CollisionGroup(frequency, representation.n_bits, tuple(sorted(ps.mask for ps in members)))
         for frequency, members in sorted(by_frequency.items())
         if len(members) >= 2
     )
@@ -153,6 +154,29 @@ class TestFindDegeneracies:
     def test_cap_named_in_error(self):
         with pytest.raises(EnumerationCapError, match="16"):
             find_degeneracies(rep(LINEAR, 17))
+
+    def test_members_built_from_masks(self):
+        group = CollisionGroup(10, 3, (1, 2, 4))
+        assert group.members == (ProductString(3, 1), ProductString(3, 2), ProductString(3, 4))
+        assert [str(ps) for ps in group.members] == ["HLL", "LHL", "LLH"]
+
+    @pytest.mark.parametrize("n_bits", range(2, 11))
+    def test_members_are_n_bit_strings_in_mask_order(self, n_bits):
+        for group in find_degeneracies(rep(LINEAR, n_bits)).groups:
+            members = group.members
+            assert all(type(ps) is ProductString and ps.n_bits == n_bits for ps in members)
+            assert [ps.mask for ps in members] == list(group.masks) == sorted(set(group.masks))
+
+    @pytest.mark.parametrize("kind", [LINEAR, EXPONENTIAL])
+    @pytest.mark.parametrize("n_bits", range(0, 11))
+    def test_total_collided_counts_masks(self, kind, n_bits):
+        representation = rep(kind, n_bits)
+        report = find_degeneracies(representation)
+        assert report.total_collided == sum(len(g.masks) for g in report.groups)
+        # The per-string count: strings whose product frequency another string shares.
+        strings_at = Counter(product_frequency(representation, ps)
+                             for ps in ProductString.all_strings(n_bits))
+        assert report.total_collided == sum(n for n in strings_at.values() if n >= 2)
 
     @settings(max_examples=30, deadline=None)
     @given(kind=st.sampled_from([LINEAR, EXPONENTIAL]), n_bits=st.integers(0, 10))
