@@ -132,7 +132,7 @@ class Superposition:
         return len(self.members)
 
 
-# Upper bound, in bytes, on each temporary array of realize_superposition.
+# Target size, in bytes, of each temporary array in realize_superposition.
 _CHUNK_BYTES = 1 << 20
 
 
@@ -140,9 +140,8 @@ def _selections(masks: list[int], n_bits: int) -> np.ndarray:
     """(len(masks), N) uint8 array whose row i, column r-1 is bit r of
     masks[i] (1 selects H_r); masks are read by bytes, so any N works."""
     width = (n_bits + 7) // 8
-    packed = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in masks), dtype=np.uint8)
-    return np.unpackbits(packed.reshape(len(masks), width), axis=1, count=n_bits,
-                         bitorder="little")
+    packed = np.frombuffer(b"".join([m.to_bytes(width, "little") for m in masks]), dtype=np.uint8)
+    return np.unpackbits(packed, bitorder="little").reshape(len(masks), 8 * width)[:, :n_bits]
 
 
 def realize_product(ps: ProductString, refsys: ReferenceSystem) -> ClockedWave:
@@ -165,7 +164,7 @@ def realize_superposition(s: Superposition, refsys: ReferenceSystem) -> IntegerW
     Still the expanded sum, N factors per member: each block of members
     gathers its selected L_r/H_r rows as realize_product does, takes their
     int8 product over the N factors and adds the block's column sum.
-    Blocks of members and of clocks keep every temporary within
+    Blocks of members and of clocks keep every temporary near
     _CHUNK_BYTES, whatever N, K and the member count.  The per-member sum
     of realize_product is its oracle.
     """
