@@ -4,9 +4,9 @@ and the low-cost product-form synthesis of the full-universe superposition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import islice
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -59,7 +59,8 @@ class ProductString:
     mask: int
 
     def __post_init__(self) -> None:
-        # Plain ints skip the conversion: 2^N of these are built per scan.
+        # Plain ints skip the conversion: CollisionGroup.members and
+        # Superposition.members build up to 2^N of these from their masks.
         if type(self.n_bits) is not int:
             object.__setattr__(self, "n_bits", _index(self.n_bits, "n_bits"))
         if type(self.mask) is not int:
@@ -100,36 +101,46 @@ class ProductString:
         return "".join(self.selection(r) for r in range(1, self.n_bits + 1))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Superposition:
-    """A set of product strings, each with an on/off coefficient fixed to on."""
+    """A set of product strings, each with an on/off coefficient fixed to on.
+
+    Held as N and the members' masks, so equality and hashing never touch
+    a ProductString; *members* builds the strings on demand.
+    """
 
     n_bits: int
-    members: frozenset[ProductString] = field(default_factory=frozenset)
+    masks: frozenset[int]
 
-    def __post_init__(self) -> None:
-        # Plain ints skip the conversion: 2^(2^N) of these are built per count.
-        if type(self.n_bits) is not int:
-            object.__setattr__(self, "n_bits", _index(self.n_bits, "n_bits"))
-        if self.n_bits < 0:
+    def __init__(self, n_bits: int, members: Iterable[ProductString] = ()) -> None:
+        n_bits = _index(n_bits, "n_bits")
+        if n_bits < 0:
             raise ValueError("bit count must be non-negative")
-        object.__setattr__(self, "members", frozenset(self.members))
-        for ps in self.members:
+        masks = set()
+        for ps in members:
             if not isinstance(ps, ProductString):
                 raise TypeError(f"members must be ProductStrings, got {ps!r}")
-            if ps.n_bits != self.n_bits:
-                raise ValueError(f"member {ps} does not have {self.n_bits} bits")
+            if ps.n_bits != n_bits:
+                raise ValueError(f"member {ps} does not have {n_bits} bits")
+            masks.add(ps.mask)
+        object.__setattr__(self, "n_bits", n_bits)
+        object.__setattr__(self, "masks", frozenset(masks))
 
     @classmethod
-    def _wrap(cls, n_bits: int, members: frozenset[ProductString]) -> "Superposition":
-        # Trusted constructor: a plain int N and a frozenset of N-bit ProductStrings.
+    def _wrap(cls, n_bits: int, masks: frozenset[int]) -> "Superposition":
+        # Trusted constructor: a plain int N and a frozenset of ints in 0..2^N-1.
         s = object.__new__(cls)
         object.__setattr__(s, "n_bits", n_bits)
-        object.__setattr__(s, "members", members)
+        object.__setattr__(s, "masks", masks)
         return s
 
+    @property
+    def members(self) -> frozenset[ProductString]:
+        """The member product strings, built on demand from the masks."""
+        return frozenset(ProductString(self.n_bits, m) for m in self.masks)
+
     def __len__(self) -> int:
-        return len(self.members)
+        return len(self.masks)
 
 
 # Target size, in bytes, of each temporary array in realize_superposition.
@@ -161,9 +172,9 @@ def realize_product(ps: ProductString, refsys: ReferenceSystem) -> ClockedWave:
 def realize_superposition(s: Superposition, refsys: ReferenceSystem) -> IntegerWave:
     """Samplewise sum of the realized members; empty superposition is all zeros.
 
-    Still the expanded sum, N factors per member: each block of members
-    gathers its selected L_r/H_r rows as realize_product does, takes their
-    int8 product over the N factors and adds the block's column sum.
+    Still the expanded sum, N factors per member: each block of member
+    masks gathers its selected L_r/H_r rows as realize_product does, takes
+    their int8 product over the N factors and adds the block's column sum.
     Blocks of members and of clocks keep every temporary near
     _CHUNK_BYTES, whatever N, K and the member count.  The per-member sum
     of realize_product is its oracle.
@@ -178,8 +189,8 @@ def realize_superposition(s: Superposition, refsys: ReferenceSystem) -> IntegerW
     per_block = max(1, _CHUNK_BYTES // (max(n_bits, 1) * max(span, 8)))
     bits = np.arange(n_bits)
     acc = np.zeros(clocks, dtype=np.int64)
-    members = iter(s.members)
-    while masks := [ps.mask for ps in islice(members, per_block)]:
+    pending = iter(s.masks)
+    while masks := list(islice(pending, per_block)):
         select = _selections(masks, n_bits)
         for start in range(0, clocks, span):
             rows = refsys.samples[:, :, start:start + span][select, bits]
@@ -206,21 +217,22 @@ def synthesize_universe(refsys: ReferenceSystem) -> IntegerWave:
 def expand_universe(n_bits: int) -> Superposition:
     """The superposition of all 2^N product strings (explicit enumeration)."""
     n_bits = _enumeration_bits(n_bits, "product-string enumeration", PRODUCT_STRING_CAP)
-    return Superposition._wrap(n_bits, frozenset(ProductString.all_strings(n_bits)))
+    return Superposition._wrap(n_bits, frozenset(range(1 << n_bits)))
 
 
 def enumerate_superpositions(n_bits: int) -> int:
     """Exhaustively build every superposition over N bits and count them.
 
     The count equals 2^(2^N): every subset of the 2^N product strings is a
-    distinct logic value.  The superpositions are built by doubling: each
-    string joins a copy of every superposition built so far.  Members come
-    from all_strings, so each superposition is built by the trusted
-    constructor.
+    distinct logic value.  Each superposition is built as its 2^N-bit
+    membership word, whose bit m is set iff ProductString(N, m) is a
+    member, so two superpositions are equal iff their words are.  The
+    words are built by doubling: each string joins a copy of every word
+    built so far.  All 2^(2^N) are built and deduplicated; the count is
+    not a closed form.
     """
     n_bits = _enumeration_bits(n_bits, "superposition enumeration", SUPERPOSITION_COUNT_CAP)
-    superpositions = [Superposition._wrap(n_bits, frozenset())]
-    for ps in ProductString.all_strings(n_bits):
-        single = frozenset((ps,))
-        superpositions += [Superposition._wrap(n_bits, s.members | single) for s in superpositions]
-    return len(set(superpositions))
+    words = [0]
+    for m in range(1 << n_bits):
+        words += [w | 1 << m for w in words]
+    return len(set(words))

@@ -1,5 +1,6 @@
 """Product strings, superpositions, and the two universe synthesis routes."""
 
+import dataclasses
 import random
 from unittest import mock
 
@@ -146,11 +147,40 @@ class TestSuperposition:
     @settings(max_examples=100, deadline=None)
     def test_trusted_constructor_agrees(self, n_and_members):
         n_bits, members = n_and_members
-        trusted = Superposition._wrap(n_bits, members)
+        trusted = Superposition._wrap(n_bits, frozenset(ps.mask for ps in members))
         checked = Superposition(n_bits, members)
         assert trusted == checked
         assert hash(trusted) == hash(checked)
         assert (trusted.n_bits, trusted.members, len(trusted)) == (n_bits, members, len(members))
+
+    @given(member_sets())
+    @settings(max_examples=100, deadline=None)
+    def test_holds_the_member_masks(self, n_and_members):
+        n_bits, members = n_and_members
+        assert Superposition(n_bits, members).masks == {ps.mask for ps in members}
+
+    @given(member_sets())
+    @settings(max_examples=100, deadline=None)
+    def test_rebuilt_from_its_members(self, n_and_members):
+        n_bits, members = n_and_members
+        s = Superposition(n_bits, members)
+        rebuilt = Superposition(n_bits, s.members)
+        assert rebuilt == s
+        assert hash(rebuilt) == hash(s)
+
+    @given(member_sets())
+    @settings(max_examples=100, deadline=None)
+    def test_members_are_n_bit_strings(self, n_and_members):
+        n_bits, members = n_and_members
+        for ps in Superposition(n_bits, members).members:
+            assert type(ps) is ProductString
+            assert ps.n_bits == n_bits
+
+    @pytest.mark.parametrize("name,value", [("n_bits", 3), ("masks", frozenset({0}))])
+    def test_fields_cannot_be_assigned(self, name, value):
+        s = Superposition(2, [ProductString(2, 1)])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(s, name, value)
 
 
 class TestRealizeProduct:
@@ -337,6 +367,10 @@ class TestExpandUniverse:
         checked = Superposition(n_bits, ProductString.all_strings(n_bits))
         assert universe == checked
         assert hash(universe) == hash(checked)
+
+    @pytest.mark.parametrize("n_bits", range(0, 11))
+    def test_masks_are_every_mask(self, n_bits):
+        assert expand_universe(n_bits).masks == frozenset(range(1 << n_bits))
 
     def test_numpy_bit_count_is_stored_as_int(self):
         universe = expand_universe(np.int64(3))
