@@ -14,7 +14,8 @@ import time
 from dataclasses import asdict, dataclass, field
 
 from ._version import __version__
-from .hyperspace import expand_universe, realize_superposition, synthesize_universe
+from .hyperspace import (PRODUCT_STRING_CAP, _enumeration_bits, expand_universe,
+                         realize_superposition, synthesize_universe)
 from .readout import count_failures, stacho_clock_bound, timeshifted_readout_steps
 from .rtw import (_BLOCK_BITS, SeedSpec, _index, _master_seed, generate_rtw, make_reference_system,
                   time_average_product)
@@ -55,9 +56,6 @@ ORTHOGONALITY_SAMPLE_CAP = 2**31  # wave samples, 2 * pairs * sum(K)
 READOUT_HASH_CAP = 2**29  # blake2b calls, sum of trials * (1 + 2N * (1 + ceil(K/512)))
 UNIVERSE_OP_CAP = 2**27  # oracle operations, K * sum((N + 1) * 2^N)
 
-_KIND_ORDER = {LINEAR: 0, EXPONENTIAL: 1}
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Inputs of one experiment run; reports echo it verbatim."""
@@ -72,20 +70,14 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         try:  # a bad count is a configuration error, which the CLI maps to exit 2
-            object.__setattr__(self, "bits", tuple(_index(n, "bits") for n in self.bits))
-            object.__setattr__(self, "clocks", tuple(_index(k, "clocks") for k in self.clocks))
-            object.__setattr__(self, "trials", _index(self.trials, "trials"))
-            if self.trials < 1:
-                raise ValueError("trials must be at least 1")
+            object.__setattr__(self, "bits", tuple(_index(n, "bits", 0) for n in self.bits))
+            object.__setattr__(self, "clocks", tuple(_index(k, "clocks", 0) for k in self.clocks))
+            object.__setattr__(self, "trials", _index(self.trials, "trials", 1))
             object.__setattr__(self, "master_seed", _master_seed(self.master_seed))
         except TypeError as exc:
             raise ValueError(str(exc)) from exc
         object.__setattr__(self, "epsilons", tuple(float(e) for e in self.epsilons))
         object.__setattr__(self, "p_targets", tuple(float(p) for p in self.p_targets))
-        if any(n < 0 for n in self.bits):
-            raise ValueError("bit counts must be non-negative")
-        if any(k < 0 for k in self.clocks):
-            raise ValueError("clock counts must be non-negative")
         for name in ("epsilons", "p_targets"):
             if not all(math.isfinite(x) for x in getattr(self, name)):
                 raise ValueError(f"{name} must be finite numbers, got {getattr(self, name)}")
@@ -286,10 +278,10 @@ def run_sinus_comparison(config: ExperimentConfig) -> ExperimentReport:
     started = time.perf_counter()
     if not config.bits:
         raise ValueError("sinus comparison requires at least one bit count")
+    # An N over the product-string cap is refused before any scan runs.
+    _enumeration_bits(max(config.bits), "product-string enumeration", PRODUCT_STRING_CAP)
     records = []
-    # Largest N first, so an N over the product-string cap is refused
-    # before any scan runs; the records are sorted below.
-    for n_bits in sorted(config.bits, reverse=True):
+    for n_bits in sorted(config.bits):
         for kind in (LINEAR, EXPONENTIAL):
             rep = SinusRepresentation(kind, n_bits)
             report = find_degeneracies(rep)
@@ -301,7 +293,6 @@ def run_sinus_comparison(config: ExperimentConfig) -> ExperimentReport:
                 "degeneracy_groups": len(report.groups),
                 "collided_strings": report.total_collided,
             })
-    records.sort(key=lambda r: (r["N"], _KIND_ORDER[r["kind"]]))
     max_bits = max(config.bits)
     linear, exponential = (SinusRepresentation(kind, max_bits) for kind in (LINEAR, EXPONENTIAL))
     table = [

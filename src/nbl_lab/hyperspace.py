@@ -10,7 +10,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .rtw import ClockedWave, IntegerWave, ReferenceSystem, _index
+from .rtw import ClockedWave, IntegerWave, ReferenceSystem, _bit_index, _index
 
 __all__ = [
     "EnumerationCapError",
@@ -38,7 +38,8 @@ class EnumerationCapError(ValueError):
 
 
 def _enumeration_bits(n_bits, what: str, cap: int) -> int:
-    """*n_bits* as an int in 0..cap; refused before anything is built."""
+    """*n_bits* as an int in 0..cap; refused before anything is built.  A
+    negative N keeps its own message, which names the enumeration."""
     n_bits = _index(n_bits, "n_bits")
     if n_bits < 0:
         raise ValueError(f"{what}: N={n_bits} is negative")
@@ -59,14 +60,13 @@ class ProductString:
     mask: int
 
     def __post_init__(self) -> None:
-        # Plain ints skip the conversion: CollisionGroup.members and
-        # Superposition.members build up to 2^N of these from their masks.
-        if type(self.n_bits) is not int:
-            object.__setattr__(self, "n_bits", _index(self.n_bits, "n_bits"))
+        # Valid plain ints skip the _index call: CollisionGroup.members and
+        # Superposition.members build up to 2^N of these from their masks,
+        # and the call would add about half again to each build.
+        if type(self.n_bits) is not int or self.n_bits < 0:
+            object.__setattr__(self, "n_bits", _index(self.n_bits, "n_bits", 0))
         if type(self.mask) is not int:
             object.__setattr__(self, "mask", _index(self.mask, "mask"))
-        if self.n_bits < 0:
-            raise ValueError("bit count must be non-negative")
         if not 0 <= self.mask < (1 << self.n_bits):
             raise ValueError(f"mask {self.mask} out of range for {self.n_bits} bits")
 
@@ -93,9 +93,7 @@ class ProductString:
 
     def selection(self, r: int) -> str:
         """'L' or 'H' for bit index r in 1..N."""
-        if not 1 <= r <= self.n_bits:
-            raise ValueError(f"bit index {r} out of range 1..{self.n_bits}")
-        return "H" if (self.mask >> (r - 1)) & 1 else "L"
+        return "H" if (self.mask >> (_bit_index(r, self.n_bits) - 1)) & 1 else "L"
 
     def __str__(self) -> str:
         return "".join(self.selection(r) for r in range(1, self.n_bits + 1))
@@ -113,9 +111,7 @@ class Superposition:
     masks: frozenset[int]
 
     def __init__(self, n_bits: int, members: Iterable[ProductString] = ()) -> None:
-        n_bits = _index(n_bits, "n_bits")
-        if n_bits < 0:
-            raise ValueError("bit count must be non-negative")
+        n_bits = _index(n_bits, "n_bits", 0)
         masks = set()
         for ps in members:
             if not isinstance(ps, ProductString):

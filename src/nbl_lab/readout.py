@@ -98,10 +98,8 @@ class Gf2System:
     __slots__ = ("n_vars", "rows", "rank", "pivot_cols", "consistent")
 
     def __init__(self, n_vars: int, rows: Iterable[int] = ()):
-        if n_vars < 0:
-            raise ValueError("variable count must be non-negative")
-        self.n_vars = n_vars
-        work = [int(r) for r in rows]
+        self.n_vars = n_vars = _index(n_vars, "n_vars", 0)
+        work = [_index(r, "rows") for r in rows]
         rhs_bit = 1 << n_vars
         for row in work:
             if row >> (n_vars + 1):
@@ -338,10 +336,8 @@ def count_failures(n_bits: int, clocks: int, trials: int, master_seed: int) -> i
     per-trial reference waves for a larger *clocks* extend those for a
     smaller one, making the count non-increasing in *clocks*.
     """
-    n_bits, clocks, trials = (_index(n_bits, "n_bits"), _index(clocks, "clocks"),
-                              _index(trials, "trials"))
-    if trials < 1:
-        raise ValueError("need at least one trial")
+    n_bits, clocks, trials = (_index(n_bits, "n_bits", 0), _index(clocks, "clocks", 0),
+                              _index(trials, "trials", 1))
     failures = 0
     for trial_seed in _trial_seeds(master_seed, range(trials)):
         low, high = make_reference_system(trial_seed, n_bits, clocks).samples

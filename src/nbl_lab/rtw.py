@@ -35,21 +35,35 @@ _BLOCK_BITS = _BLOCK_BYTES * 8
 PathElement = Union[int, str]
 
 
-def _index(value, name: str) -> int:
-    """*value* as an int (numpy integers included); a bool or any
-    non-integer is refused with a TypeError naming *name*."""
-    if not isinstance(value, bool):
+def _index(value, name: str, minimum: int | None = None) -> int:
+    """*value* as an int (numpy integers included), the package's one
+    integer rule.  A bool or any non-integer is refused with a TypeError
+    naming *name*; a value below *minimum*, when one is given, with a
+    ValueError naming both."""
+    if type(value) is not int:  # plain ints skip the conversion
         try:
-            return operator.index(value)
+            if isinstance(value, bool):  # an int subclass, but not a count
+                raise TypeError
+            value = operator.index(value)
         except TypeError:
-            pass
-    raise TypeError(f"{name} must be an integer, got {value!r}")
+            raise TypeError(f"{name} must be an integer, got {value!r}") from None
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{name} must be at least {minimum}, got {value}")
+    return value
+
+
+def _bit_index(r, n_bits: int) -> int:
+    """*r* as a bit index: an integer in 1..*n_bits*."""
+    r = _index(r, "bit index")
+    if not 1 <= r <= n_bits:
+        raise ValueError(f"bit index {r} out of range 1..{n_bits}")
+    return r
 
 
 def _master_seed(value) -> int:
-    """*value* as a master seed: an integer in [0, 2^64)."""
-    if type(value) is not int:  # plain ints skip the conversion
-        value = _index(value, "master_seed")
+    """*value* as a master seed: an integer in [0, 2^64), with one message
+    for both ends of the range."""
+    value = _index(value, "master_seed")
     if not 0 <= value < 2**64:
         raise ValueError("master_seed must be a 64-bit unsigned integer")
     return value
@@ -109,10 +123,7 @@ class SeedSpec:
 
     def bits(self, count: int) -> np.ndarray:
         """First *count* bits of the substream as a uint8 0/1 array."""
-        if type(count) is not int:  # plain ints skip the conversion
-            count = _index(count, "count")
-        if count < 0:
-            raise ValueError("bit count must be non-negative")
+        count = _index(count, "count", 0)
         if count == 0:
             return np.zeros(0, dtype=np.uint8)
         buf = _stream_bytes((self.stream_key(),), -(-count // _BLOCK_BITS))
@@ -238,11 +249,7 @@ def generate_rtw(seed: SeedSpec, clocks: int) -> ClockedWave:
     Bit-reproducible for equal (seed, clocks); a shorter call returns a
     prefix of a longer call with the same seed.
     """
-    if type(clocks) is not int:  # plain ints skip the conversion
-        clocks = _index(clocks, "clocks")
-    if clocks < 0:
-        raise ValueError("clock count must be non-negative")
-    bits = seed.bits(clocks)
+    bits = seed.bits(_index(clocks, "clocks", 0))
     samples = (2 * bits.astype(np.int8) - 1)
     return ClockedWave._wrap(samples)
 
@@ -282,16 +289,11 @@ class ReferenceSystem:
 
     def low(self, r: int) -> ClockedWave:
         """A read-only view of L_r, for bit index r in 1..N."""
-        return ClockedWave._wrap(self._samples[0, self._row(r)])
+        return ClockedWave._wrap(self._samples[0, _bit_index(r, self.n_bits) - 1])
 
     def high(self, r: int) -> ClockedWave:
         """A read-only view of H_r, for bit index r in 1..N."""
-        return ClockedWave._wrap(self._samples[1, self._row(r)])
-
-    def _row(self, r: int) -> int:
-        if not 1 <= r <= self.n_bits:
-            raise ValueError(f"bit index {r} out of range 1..{self.n_bits}")
-        return r - 1
+        return ClockedWave._wrap(self._samples[1, _bit_index(r, self.n_bits) - 1])
 
     def __repr__(self) -> str:
         return f"ReferenceSystem(N={self.n_bits}, K={self.clocks})"
@@ -309,12 +311,7 @@ def _bit_suffixes(n_bits: int) -> tuple[bytes, ...]:
 def make_reference_system(master_seed: int, n_bits: int, clocks: int) -> ReferenceSystem:
     """Build the 2N reference waves from distinct substreams of one seed:
     L_r is the stream at path ("bit", r, "L") and H_r at ("bit", r, "H")."""
-    if type(n_bits) is not int:  # plain ints skip the conversion
-        n_bits = _index(n_bits, "n_bits")
-    if type(clocks) is not int:
-        clocks = _index(clocks, "clocks")
-    if n_bits < 0 or clocks < 0:
-        raise ValueError("bit and clock counts must be non-negative")
+    n_bits, clocks = _index(n_bits, "n_bits", 0), _index(clocks, "clocks", 0)
     keys = _derive_keys(master_seed, _BIT_PREFIX, _bit_suffixes(n_bits))
     n_blocks = -(-clocks // _BLOCK_BITS)
     bits = np.unpackbits(np.frombuffer(_stream_bytes(keys, n_blocks), dtype=np.uint8))
@@ -335,8 +332,8 @@ def time_average_product(a: ClockedWave, b: ClockedWave) -> float:
         raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
     if len(a) == 0:
         raise ValueError("time average undefined for empty waves")
-    total = int(np.dot(a.samples.astype(np.int64), b.samples.astype(np.int64)))
-    return total / len(a)
+    # numpy sums int8 products in int64; object samples stay Python ints.
+    return int((a.samples * b.samples).sum()) / len(a)
 
 
 def save_wave_file(path, wave: ClockedWave) -> None:

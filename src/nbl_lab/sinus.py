@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hyperspace import PRODUCT_STRING_CAP, ProductString, _enumeration_bits
-from .rtw import _index
+from .rtw import _bit_index, _index
 
 __all__ = [
     "LINEAR",
@@ -46,15 +46,12 @@ class SinusRepresentation:
     def __post_init__(self) -> None:
         if self.kind not in (LINEAR, EXPONENTIAL):
             raise ValueError(f"kind must be {LINEAR!r} or {EXPONENTIAL!r}, got {self.kind!r}")
-        object.__setattr__(self, "n_bits", _index(self.n_bits, "n_bits"))
-        if self.n_bits < 0:
-            raise ValueError("bit count must be non-negative")
+        object.__setattr__(self, "n_bits", _index(self.n_bits, "n_bits", 0))
 
 
 def value_frequency(rep: SinusRepresentation, r: int, value: str) -> int:
     """Harmonic index (multiple of f0) assigned to bit r's L or H value."""
-    if not 1 <= r <= rep.n_bits:
-        raise ValueError(f"bit index {r} out of range 1..{rep.n_bits}")
+    r = _bit_index(r, rep.n_bits)
     if value not in ("L", "H"):
         raise ValueError(f"value must be 'L' or 'H', got {value!r}")
     if rep.kind == LINEAR:
@@ -149,9 +146,7 @@ def readout_sample_count(rep: SinusRepresentation) -> int:
 def realize_sinus_product(rep: SinusRepresentation, ps: ProductString, samples: int) -> np.ndarray:
     """Complex-exponential realization of a product string over one window
     of length 1/f0: s[k] = exp(j 2π F k / samples), F = product frequency."""
-    samples = _index(samples, "samples")
-    if samples < 1:
-        raise ValueError("need at least one sample")
+    samples = _index(samples, "samples", 1)
     frequency = product_frequency(rep, ps)
     k = np.arange(samples)
     return np.exp(2j * np.pi * frequency * k / samples)

@@ -235,6 +235,16 @@ class TestExitCodes:
                               "--trials", "0"], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("flag,value,reason", [
+        ("--bits", "-1", "bits must be at least 0, got -1"),
+        ("--clocks", "-5", "clocks must be at least 0, got -5"),
+        ("--trials", "0", "trials must be at least 1, got 0"),
+    ])
+    def test_count_below_its_minimum_exits_2_naming_it(self, flag, value, reason, capsys):
+        argv = ["readout-scaling", "--bits", "3", "--clocks", "6", "--trials", "2", flag, value]
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out, err) == (2, "", f"nbl-lab: configuration error: {reason}\n")
+
 
 class _WorkStarted(Exception):
     pass

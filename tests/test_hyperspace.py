@@ -63,6 +63,15 @@ class TestProductString:
         with pytest.raises(ValueError):
             ps.selection(3)
 
+    @pytest.mark.parametrize("r", [1.5, True])
+    def test_selection_index_must_be_an_integer(self, r):
+        with pytest.raises(TypeError, match=f"^bit index must be an integer, got {r!r}$"):
+            ProductString(2, 0b10).selection(r)
+
+    def test_selection_takes_a_numpy_index(self):
+        ps = ProductString(2, 0b10)
+        assert (ps.selection(np.int64(1)), ps.selection(np.uint8(2))) == ("L", "H")
+
     def test_empty_string(self):
         ps = ProductString(0, 0)
         assert str(ps) == ""
@@ -129,7 +138,7 @@ class TestSuperposition:
             Superposition(n_bits, [])
 
     def test_bit_count_must_be_non_negative(self):
-        with pytest.raises(ValueError, match="non-negative"):
+        with pytest.raises(ValueError, match=r"^n_bits must be at least 0, got -1$"):
             Superposition(-1)
 
     def test_numpy_bit_count_is_stored_as_int(self):

@@ -102,6 +102,21 @@ class TestGf2System:
         with pytest.raises(ValueError):
             Gf2System(2, [0b1000])
 
+    @pytest.mark.parametrize("args,message", [
+        ((2, [2.7]), "rows must be an integer, got 2.7"),
+        ((2, [0b101, True]), "rows must be an integer, got True"),
+        ((2.0, [0b101]), "n_vars must be an integer, got 2.0"),
+        ((True, [0b01]), "n_vars must be an integer, got True"),
+    ])
+    def test_rows_and_variable_count_must_be_integers(self, args, message):
+        with pytest.raises(TypeError, match=f"^{message}$"):
+            Gf2System(*args)
+
+    def test_numpy_rows_and_variable_count_are_accepted(self):
+        system = Gf2System(np.int64(2), np.array([0b101, 0b111], dtype=np.uint8))
+        assert (system.n_vars, system.rows) == (2, Gf2System(2, [0b101, 0b111]).rows)
+        assert all(type(row) is int for row in system.rows)
+
     @given(st.integers(0, 6), st.integers(0, 10), st.integers(0, 2**32))
     @settings(max_examples=200)
     def test_solution_set_preserved(self, n_vars, n_rows, seed):

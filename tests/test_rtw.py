@@ -294,6 +294,19 @@ class TestTimeAverageProduct:
         with pytest.raises(ValueError):
             time_average_product(ClockedWave([1]), ClockedWave([1, 1]))
 
+    @pytest.mark.parametrize("make", [
+        lambda values: ClockedWave([1 if v % 2 else -1 for v in values]),
+        lambda values: IntegerWave(np.array(values, dtype=np.int64) - 500),
+        # Products near 2^80 would wrap in int64; object samples stay exact.
+        lambda values: IntegerWave(np.array([(v - 500) << 40 for v in values], dtype=object)),
+    ], ids=["clocked", "int64", "object"])
+    def test_equals_the_exact_python_sum(self, make):
+        rng = np.random.default_rng(7)
+        a = make(rng.integers(0, 1000, 257).tolist())
+        b = make(rng.integers(0, 1000, 257).tolist())
+        exact = sum(int(x) * int(y) for x, y in zip(a.samples, b.samples))
+        assert time_average_product(a, b) == exact / 257
+
     def test_independent_references_nearly_orthogonal(self):
         clocks = 10_000
         passed = 0
@@ -350,6 +363,19 @@ class TestReferenceSystem:
             system.low(0)
         with pytest.raises(ValueError):
             system.high(3)
+
+    @pytest.mark.parametrize("r", [1.5, 1.0, True])
+    def test_bit_index_must_be_an_integer(self, r):
+        system = make_reference_system(SEED, 2, 8)
+        message = f"^bit index must be an integer, got {re.escape(repr(r))}$"
+        for accessor in (system.low, system.high):
+            with pytest.raises(TypeError, match=message):
+                accessor(r)
+
+    def test_numpy_bit_index_is_accepted(self):
+        system = make_reference_system(SEED, 2, 8)
+        assert system.low(np.int64(2)) == system.low(2)
+        assert system.high(np.uint8(1)) == system.high(1)
 
     @pytest.mark.parametrize("shape", [(3, 8), (3, 3, 8)])
     def test_refuses_wrong_shape(self, shape):

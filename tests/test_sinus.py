@@ -83,6 +83,16 @@ class TestValueFrequency:
         with pytest.raises(TypeError, match="^n_bits must be an integer"):
             SinusRepresentation(LINEAR, n_bits)
 
+    @pytest.mark.parametrize("r", [1.5, True])
+    def test_bit_index_must_be_an_integer(self, r):
+        with pytest.raises(TypeError, match=f"^bit index must be an integer, got {r!r}$"):
+            value_frequency(rep(LINEAR, 2), r, "L")
+
+    def test_numpy_bit_index_is_accepted(self):
+        r2 = rep(EXPONENTIAL, 2)
+        assert value_frequency(r2, np.int64(2), "H") == value_frequency(r2, 2, "H") == 8
+        assert type(value_frequency(r2, np.uint8(1), "L")) is int
+
     def test_numpy_bit_count_is_stored_as_int(self):
         r3 = SinusRepresentation(LINEAR, np.int32(3))
         assert type(r3.n_bits) is int
