@@ -24,7 +24,7 @@ import numpy as np
 
 from .hyperspace import PRODUCT_STRING_CAP, ProductString, _enumeration_bits, realize_product
 from .rtw import (ClockedWave, IntegerWave, ReferenceSystem, SeedSpec, _all_bipolar,
-                  _derive_keys, _encode_path, _encode_path_element, _index,
+                  _derive_keys, _encode_path, _encode_path_element, _index, _xor_rows,
                   make_reference_system)
 
 __all__ = [
@@ -329,7 +329,8 @@ def count_failures(n_bits: int, clocks: int, trials: int, master_seed: int) -> i
     Failure means "not unique".  An honestly planted instance is never
     inconsistent, so it fails exactly when A = sign(L) xor sign(H) (K x N
     over GF(2)) is rank-deficient; each trial is decided by that rank
-    alone, without planting, realizing or decoding, and gives the same
+    alone, its rows read straight from the stream digests, without a
+    reference system, planting, realizing or decoding, and gives the same
     verdict as ``gf2_fast_readout`` on the ``plant_trial`` instance.
     Trials use seeds derived from (master_seed, trial index), so the count
     is a pure function of the arguments; with a shared master seed the
@@ -340,8 +341,7 @@ def count_failures(n_bits: int, clocks: int, trials: int, master_seed: int) -> i
                               _index(trials, "trials", 1))
     failures = 0
     for trial_seed in _trial_seeds(master_seed, range(trials)):
-        low, high = make_reference_system(trial_seed, n_bits, clocks).samples
-        failures += _Gf2Basis(_pack_rows(low != high)).rank < n_bits
+        failures += _Gf2Basis(_xor_rows(trial_seed, n_bits, clocks)).rank < n_bits
     return failures
 
 
@@ -354,8 +354,7 @@ def _log4(x: float) -> float:
 def stacho_clock_bound(n_bits: int, epsilon: float) -> float:
     """Clock-period budget N * (log2 N)^(1+epsilon) sufficient for fast
     product-string measurement."""
-    if n_bits < 2:
-        raise ValueError("bound requires N >= 2 (log2 N must be at least 1)")
+    n_bits = _index(n_bits, "n_bits", 2)  # log2 N must be at least 1
     if epsilon < 0:
         raise ValueError("epsilon must be non-negative")
     try:
@@ -368,8 +367,7 @@ def stacho_clock_bound(n_bits: int, epsilon: float) -> float:
 def timeshifted_readout_steps(n_bits: int, p_fail: float) -> float:
     """Time steps 2N * log4(N/P) needed at failure target P in the
     time-shifted representation."""
-    if n_bits < 1:
-        raise ValueError("N must be at least 1")
+    n_bits = _index(n_bits, "n_bits", 1)
     if p_fail <= 0:
         raise ValueError("failure probability target must be positive")
     try:

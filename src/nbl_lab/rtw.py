@@ -319,6 +319,24 @@ def make_reference_system(master_seed: int, n_bits: int, clocks: int) -> Referen
     return ReferenceSystem._wrap(2 * bits - 1)
 
 
+def _xor_rows(master_seed: int, n_bits: int, clocks: int) -> list[int]:
+    """The rows of ``samples[0] != samples[1]`` of
+    ``make_reference_system(master_seed, n_bits, clocks)``, straight from the
+    stream digests: row r-1 is the first *clocks* bits of stream ("bit", r,
+    "L") xor stream ("bit", r, "H"), one int with clock 1 most significant.
+    The counts are taken as already checked."""
+    n_blocks = -(-clocks // _BLOCK_BITS)
+    streams = _stream_bytes(_derive_keys(master_seed, _BIT_PREFIX, _bit_suffixes(n_bits)), n_blocks)
+    half = len(streams) // 2  # every L stream, then every H stream
+    xor = (int.from_bytes(streams[:half], "big")
+           ^ int.from_bytes(streams[half:], "big")).to_bytes(half, "big")
+    # Row r starts at r * stride; indexing, not a range() step, since K = 0 gives stride 0.
+    stride, width = n_blocks * _BLOCK_BYTES, -(-clocks // 8)
+    pad = 8 * width - clocks
+    return [int.from_bytes(xor[r * stride:r * stride + width], "big") >> pad
+            for r in range(n_bits)]
+
+
 def multiply(a: ClockedWave, b: ClockedWave) -> ClockedWave:
     """Samplewise product of two equal-length waves (again bipolar)."""
     if len(a) != len(b):

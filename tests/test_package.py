@@ -9,7 +9,8 @@ import pytest
 import nbl_lab
 from nbl_lab import (ExperimentConfig, Gf2System, ProductString, SeedSpec, SinusRepresentation,
                      Superposition, count_failures, experiments, generate_rtw, hyperspace,
-                     make_reference_system, readout, realize_sinus_product, rtw, sinus)
+                     make_reference_system, readout, realize_sinus_product, rtw, sinus,
+                     stacho_clock_bound, timeshifted_readout_steps)
 
 MODULES = (experiments, hyperspace, readout, rtw, sinus)
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -56,10 +57,12 @@ def test_star_import_binds_exactly_all():
     (lambda: ExperimentConfig("orthogonality", clocks=(8, -5)), "clocks must be at least 0, got -5"),
     (lambda: ExperimentConfig("orthogonality", trials=0), "trials must be at least 1, got 0"),
     (lambda: Gf2System(-1), "n_vars must be at least 0, got -1"),
+    (lambda: stacho_clock_bound(1, 0.0), "n_bits must be at least 2, got 1"),
+    (lambda: timeshifted_readout_steps(0, 0.5), "n_bits must be at least 1, got 0"),
 ], ids=["bits", "generate_rtw", "reference-bits", "reference-clocks", "product-string",
         "superposition", "sinus-representation", "sinus-samples", "failures-bits",
         "failures-clocks", "failures-trials", "config-bits", "config-clocks", "config-trials",
-        "gf2-system"])
+        "gf2-system", "clock-bound", "timeshifted-steps"])
 def test_a_count_below_its_minimum_is_refused_naming_it(call, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         call()

@@ -401,7 +401,8 @@ class TestCountFailures:
         assert count_failures(np.int64(6), np.uint8(8), np.int32(50), np.uint64(SEED)) == \
             count_failures(6, 8, 50, SEED)
 
-    @pytest.mark.parametrize("clocks", [64, 66])
+    # 512 clocks per stream block: 511, 513 and 1025 straddle the block edges.
+    @pytest.mark.parametrize("clocks", [64, 66, 511, 513, 1025])
     def test_matches_planted_decoder_past_one_word(self, clocks):
         assert count_failures(64, clocks, 8, SEED) == decoder_failures(64, clocks, 8, SEED)
 
@@ -424,6 +425,20 @@ class TestBoundCalculators:
         assert timeshifted_readout_steps(4, 1) == 8.0
         assert timeshifted_readout_steps(64, 2**-10) == 1024.0
         assert timeshifted_readout_steps(16, 4) == 32.0
+
+    @pytest.mark.parametrize("call,message", [
+        (lambda: stacho_clock_bound(True, 0.0), "n_bits must be an integer, got True"),
+        (lambda: stacho_clock_bound(2.5, 0.0), "n_bits must be an integer, got 2.5"),
+        (lambda: timeshifted_readout_steps(True, 0.5), "n_bits must be an integer, got True"),
+        (lambda: timeshifted_readout_steps(4.5, 0.01), "n_bits must be an integer, got 4.5"),
+    ], ids=["clock-bound-bool", "clock-bound-float", "timeshifted-bool", "timeshifted-float"])
+    def test_bit_count_must_be_an_integer(self, call, message):
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+            call()
+
+    def test_numpy_bit_count_is_accepted(self):
+        assert stacho_clock_bound(np.int64(1024), 0.0) == 10240.0
+        assert timeshifted_readout_steps(np.uint8(64), 2**-10) == 1024.0
 
     def test_timeshifted_domain(self):
         with pytest.raises(ValueError):

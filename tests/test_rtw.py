@@ -7,7 +7,7 @@ import statistics
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nbl_lab import (
@@ -22,7 +22,8 @@ from nbl_lab import (
     save_wave_file,
     time_average_product,
 )
-from nbl_lab.rtw import _derive_keys, _encode_path
+from nbl_lab.readout import _pack_rows
+from nbl_lab.rtw import _derive_keys, _encode_path, _xor_rows
 
 SEED = 0xD1CEBA5E
 
@@ -429,6 +430,22 @@ class TestReferenceSystem:
     def test_numpy_counts_accepted(self):
         system = make_reference_system(SEED, np.int64(3), np.uint16(16))
         assert np.array_equal(system.samples, make_reference_system(SEED, 3, 16).samples)
+
+    # K = 0, K % 8 != 0, and the 512-clock block edges.
+    @given(st.integers(0, 12), st.integers(0, 2**64 - 1),
+           st.one_of(st.sampled_from([0, 7, 511, 512, 513, 1024, 1025]), st.integers(0, 1100)))
+    @example(12, SEED, 0)
+    @example(5, SEED, 7)
+    @example(3, SEED, 511)
+    @example(3, SEED, 512)
+    @example(3, SEED, 513)
+    @example(2, SEED, 1024)
+    @example(2, SEED, 1025)
+    @settings(max_examples=100, deadline=None)
+    def test_xor_rows_are_the_packed_differences(self, n_bits, master_seed, clocks):
+        low, high = make_reference_system(master_seed, n_bits, clocks).samples
+        pad = 8 * -(-clocks // 8) - clocks
+        assert _xor_rows(master_seed, n_bits, clocks) == [row >> pad for row in _pack_rows(low != high)]
 
 
 class TestWaveFiles:
