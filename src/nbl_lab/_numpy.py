@@ -1,0 +1,26 @@
+"""numpy, bound lazily: the package's one numpy import.
+
+``np`` is executed on its first attribute access, so a process whose
+experiment uses no array (orthogonality, readout-scaling, bounds-table)
+never pays for loading numpy.  After that access it is the plain numpy
+module.  A numpy already in ``sys.modules`` is used as it is.
+"""
+
+import importlib.util
+import sys
+
+
+def _lazy(name: str):
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec(name)
+    if spec is None:
+        raise ModuleNotFoundError(f"No module named {name!r}", name=name)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+np = _lazy("numpy")

@@ -17,8 +17,7 @@ from ._version import __version__
 from .hyperspace import (PRODUCT_STRING_CAP, _enumeration_bits, expand_universe,
                          realize_superposition, synthesize_universe)
 from .readout import count_failures, stacho_clock_bound, timeshifted_readout_steps
-from .rtw import (_BLOCK_BITS, SeedSpec, _index, _master_seed, generate_rtw, make_reference_system,
-                  time_average_product)
+from .rtw import _BLOCK_BITS, SeedSpec, _index, _master_seed, _stream_int, make_reference_system
 from .sinus import (
     EXPONENTIAL,
     LINEAR,
@@ -159,12 +158,20 @@ def _report(config: ExperimentConfig, columns: list[str], records: list[dict],
     )
 
 
+def _bit_correlation(a: int, b: int, clocks: int) -> float:
+    """``time_average_product`` of the waves whose first *clocks* bits are *a*
+    and *b*: a product sample is +1 where the bits agree and -1 where they
+    differ, so the sum is K - 2*popcount(a ^ b), divided by K as an int."""
+    return (clocks - 2 * (a ^ b).bit_count()) / clocks
+
+
 def run_orthogonality(config: ExperimentConfig) -> ExperimentReport:
     """Finite-clock convergence of the cross-correlation of independent waves.
 
     For each clock count K: median and max |time-average product| over
     *trials* independent wave pairs, next to the 4/sqrt(K) reference bound
-    and an identical-wave self check (always exactly 1.0).
+    and an identical-wave self check (always exactly 1.0).  Each pair is
+    correlated from its stream bits (the waves of ``generate_rtw``).
     """
     started = time.perf_counter()
     if not config.clocks:
@@ -179,11 +186,11 @@ def run_orthogonality(config: ExperimentConfig) -> ExperimentReport:
         values = []
         self_check = None
         for pair in range(config.trials):
-            a = generate_rtw(root.child("pair", pair, 0), clocks)
-            b = generate_rtw(root.child("pair", pair, 1), clocks)
-            values.append(abs(time_average_product(a, b)))
+            a = _stream_int(root.child("pair", pair, 0), clocks)
+            b = _stream_int(root.child("pair", pair, 1), clocks)
+            values.append(abs(_bit_correlation(a, b, clocks)))
             if self_check is None:
-                self_check = time_average_product(a, a)
+                self_check = _bit_correlation(a, a, clocks)
         records.append({
             "K": clocks,
             "pairs": config.trials,
@@ -240,6 +247,15 @@ def run_universe_check(config: ExperimentConfig) -> ExperimentReport:
     return _report(config, columns, records, summary, started)
 
 
+def _ref_rate(n_bits: int, clocks: int) -> float:
+    """2^(N-K) as a float; a grid point where it overflows is refused."""
+    try:
+        return 2.0 ** (n_bits - clocks)
+    except OverflowError:
+        raise ValueError(f"readout scaling: reference rate 2^(N-K) at N={n_bits}, K={clocks} "
+                         f"is not a finite float") from None
+
+
 def run_readout_scaling(config: ExperimentConfig) -> ExperimentReport:
     """Monte Carlo failure rate of the fast readout over an (N, K) grid.
 
@@ -255,19 +271,20 @@ def run_readout_scaling(config: ExperimentConfig) -> ExperimentReport:
     _refuse_over_cap(f"readout scaling: blake2b calls sum(trials*(1+2N*(1+ceil(K/{_BLOCK_BITS}))))",
                      sum(config.trials * (1 + 2 * n * (1 + -(-k // _BLOCK_BITS)))
                          for n in config.bits for k in config.clocks), READOUT_HASH_CAP)
+    grid = [(n_bits, clocks, _ref_rate(n_bits, clocks))
+            for n_bits in sorted(config.bits) for clocks in sorted(config.clocks)]
     records = []
-    for n_bits in sorted(config.bits):
-        for clocks in sorted(config.clocks):
-            failures = count_failures(n_bits, clocks, config.trials, config.master_seed)
-            records.append({
-                "N": n_bits,
-                "K": clocks,
-                "trials": config.trials,
-                "failures": failures,
-                "rate": failures / config.trials,
-                "master_seed": config.master_seed,
-                "ref_rate": 2.0 ** (n_bits - clocks),
-            })
+    for n_bits, clocks, ref_rate in grid:
+        failures = count_failures(n_bits, clocks, config.trials, config.master_seed)
+        records.append({
+            "N": n_bits,
+            "K": clocks,
+            "trials": config.trials,
+            "failures": failures,
+            "rate": failures / config.trials,
+            "master_seed": config.master_seed,
+            "ref_rate": ref_rate,
+        })
     columns = ["N", "K", "trials", "failures", "rate", "master_seed"]
     return _report(config, columns, records, {"grid_points": len(records)}, started)
 

@@ -8,8 +8,7 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Iterable, Iterator
 
-import numpy as np
-
+from ._numpy import np
 from .rtw import ClockedWave, IntegerWave, ReferenceSystem, _bit_index, _index
 
 __all__ = [

@@ -20,8 +20,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Union
 
-import numpy as np
-
+from ._numpy import np
 from .hyperspace import PRODUCT_STRING_CAP, ProductString, _enumeration_bits, realize_product
 from .rtw import (ClockedWave, IntegerWave, ReferenceSystem, SeedSpec, _all_bipolar,
                   _derive_keys, _encode_path, _encode_path_element, _index, _xor_rows,

@@ -13,7 +13,7 @@ import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Union
 
-import numpy as np
+from ._numpy import np
 
 __all__ = [
     "SeedSpec",
@@ -335,6 +335,15 @@ def _xor_rows(master_seed: int, n_bits: int, clocks: int) -> list[int]:
     pad = 8 * width - clocks
     return [int.from_bytes(xor[r * stride:r * stride + width], "big") >> pad
             for r in range(n_bits)]
+
+
+def _stream_int(seed: SeedSpec, clocks: int) -> int:
+    """The bits of ``seed.bits(clocks)`` straight from the stream digests, as
+    one int with clock 1 most significant.  The count is taken as already
+    checked."""
+    n_blocks = -(-clocks // _BLOCK_BITS)
+    stream = _stream_bytes((seed.stream_key(),), n_blocks)
+    return int.from_bytes(stream, "big") >> (n_blocks * _BLOCK_BITS - clocks)
 
 
 def multiply(a: ClockedWave, b: ClockedWave) -> ClockedWave:

@@ -9,8 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._numpy import np
 from .hyperspace import PRODUCT_STRING_CAP, ProductString, _enumeration_bits
 from .rtw import _bit_index, _index
 

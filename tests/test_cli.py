@@ -181,6 +181,21 @@ class TestExitCodes:
         assert out == ""
         assert reason in err
 
+    @pytest.mark.parametrize("argv,reason", [
+        (["--bits", "1100", "--clocks", "0"], "N=1100, K=0"),
+        (["--bits-range", "6,1100", "--clocks-range", "8,76"], "N=1100, K=8"),
+    ])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_ref_rate_beyond_float_range_exits_2_before_any_hashing(self, argv, reason, fmt,
+                                                                    capsys, monkeypatch):
+        monkeypatch.setattr(experiments, "count_failures", _no_work)
+        code, out, err = run_cli(["readout-scaling", *argv, "--trials", "1", "--format", fmt],
+                                 capsys)
+        assert code == 2
+        assert out == ""
+        assert f"reference rate 2^(N-K) at {reason} is not a finite float" in err
+        assert "Traceback" not in err
+
     def test_unknown_flag_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["bounds-table", "--frobnicate"])
@@ -288,7 +303,7 @@ class TestCostCaps:
     def _forbid_work(self, monkeypatch):
         # Every test here must be decided by the cap check alone.
         monkeypatch.delenv(SEED_ENV_VAR, raising=False)
-        for name in ("generate_rtw", "make_reference_system", "count_failures"):
+        for name in ("_stream_int", "make_reference_system", "count_failures"):
             monkeypatch.setattr(experiments, name, _no_work)
 
     @pytest.mark.parametrize("argv,cap,estimate", COMMITTED,

@@ -2,22 +2,30 @@
 
 import dataclasses
 import json
+import statistics
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from nbl_lab import (
     DEFAULT_MASTER_SEED,
     SCHEMA_VERSION,
     ExperimentConfig,
     ExperimentReport,
+    SeedSpec,
     __version__,
+    generate_rtw,
     run_bounds_table,
     run_orthogonality,
     run_readout_scaling,
     run_sinus_comparison,
     run_universe_check,
+    time_average_product,
 )
+from nbl_lab.experiments import _bit_correlation
+from nbl_lab.rtw import _stream_int
 
 SEED = 0xD1CEBA5E
 
@@ -114,7 +122,51 @@ class TestReportRendering:
             report.render("xml")
 
 
+def wave_path_orthogonality(config: ExperimentConfig) -> list[dict]:
+    """run_orthogonality's records built from generate_rtw waves and
+    time_average_product, the wave API that the popcount path replaces."""
+    root = SeedSpec(config.master_seed)
+    records = []
+    for clocks in sorted(config.clocks):
+        pairs = [(generate_rtw(root.child("pair", pair, 0), clocks),
+                  generate_rtw(root.child("pair", pair, 1), clocks))
+                 for pair in range(config.trials)]
+        values = [abs(time_average_product(a, b)) for a, b in pairs]
+        records.append({
+            "K": clocks,
+            "pairs": config.trials,
+            "median_abs": float(statistics.median(values)),
+            "max_abs": max(values),
+            "bound": 4.0 / clocks**0.5,
+            "identical_check": time_average_product(pairs[0][0], pairs[0][0]),
+            "master_seed": config.master_seed,
+        })
+    return records
+
+
 class TestOrthogonality:
+    # K % 8 != 0 and the 512-clock block edges.
+    @given(st.integers(0, 2**64 - 1), st.integers(0, 10**6),
+           st.one_of(st.sampled_from([1, 511, 512, 513, 1030, 1536]), st.integers(1, 2000)))
+    @example(SEED, 0, 1)
+    @example(SEED, 1, 511)
+    @example(SEED, 2, 512)
+    @example(SEED, 3, 513)
+    @example(SEED, 4, 1030)
+    @example(SEED, 5, 1536)
+    @settings(max_examples=100, deadline=None)
+    def test_pair_value_is_the_wave_time_average(self, master_seed, pair, clocks):
+        seeds = [SeedSpec(master_seed).child("pair", pair, side) for side in (0, 1)]
+        a, b = (_stream_int(seed, clocks) for seed in seeds)
+        waves = [generate_rtw(seed, clocks) for seed in seeds]
+        assert abs(_bit_correlation(a, b, clocks)) == abs(time_average_product(*waves))
+        assert _bit_correlation(a, a, clocks) == time_average_product(waves[0], waves[0])
+
+    def test_report_matches_the_wave_path(self):
+        config = ExperimentConfig("orthogonality", clocks=(1030, 1, 513, 512), trials=12,
+                                  master_seed=SEED)
+        assert run_orthogonality(config).records == wave_path_orthogonality(config)
+
     def test_median_decreases_with_clocks(self):
         config = ExperimentConfig("orthogonality", clocks=(100, 10_000, 1_000_000),
                                   trials=100, master_seed=SEED)

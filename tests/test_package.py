@@ -1,7 +1,11 @@
 """The package as a whole: each module's __all__, declared once; the one
-integer rule for counts; and the README's library example."""
+integer rule for counts; numpy loaded only by the experiments that use it;
+and the README's library example."""
 
+import json
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -11,9 +15,11 @@ from nbl_lab import (ExperimentConfig, Gf2System, ProductString, SeedSpec, Sinus
                      Superposition, count_failures, experiments, generate_rtw, hyperspace,
                      make_reference_system, readout, realize_sinus_product, rtw, sinus,
                      stacho_clock_bound, timeshifted_readout_steps)
+from nbl_lab.cli import build_parser, config_from_args
 
 MODULES = (experiments, hyperspace, readout, rtw, sinus)
 README = Path(__file__).resolve().parents[1] / "README.md"
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 SEED = 5
 
 
@@ -73,3 +79,68 @@ def test_readme_library_example_runs():
     block = re.search(r"```python\n(.*?)```", section, re.DOTALL)
     assert block is not None, "README has no python block under 'Library use'"
     exec(compile(block.group(1), str(README), "exec"), {})
+
+
+# The golden configs of the three experiments that use no array.
+NUMPY_FREE_RUNS = {
+    "orthogonality": ["orthogonality", "--clocks-range", "100,400", "--trials", "10",
+                      "--seed", "0xD1CEBA5E"],
+    "readout_scaling": ["readout-scaling", "--bits", "4", "--clocks-range", "0,8,16",
+                        "--trials", "50", "--seed", "0xD1CEBA5E"],
+    "bounds_table": ["bounds-table", "--bits-range", "2,64,1024", "--epsilon", "0,0.5",
+                     "--p-target", "0.001"],
+}
+
+# Runs each argv list through cli.main with numpy blocked: any import of numpy
+# raises, and any use of the lazily bound np fails on None.
+NUMPY_BLOCKED_CHILD = """
+import contextlib, io, json, sys
+sys.modules["numpy"] = None
+from nbl_lab.cli import main
+results = []
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    results.append([code, out.getvalue()])
+assert sys.modules["numpy"] is None
+print(json.dumps(results))
+"""
+
+LAZY_NUMPY_CHILD = """
+import sys, types
+import nbl_lab
+assert not [name for name in sys.modules if name.startswith("numpy.")], "numpy ran on import"
+nbl_lab.make_reference_system(5, 8, 16)
+import numpy
+assert type(numpy) is types.ModuleType
+assert nbl_lab.rtw.np is numpy
+assert [name for name in sys.modules if name.startswith("numpy.")]
+"""
+
+
+def _child(code, *args):
+    return subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
+                          timeout=60)
+
+
+def test_numpy_free_experiments_reproduce_their_goldens_with_numpy_blocked():
+    argvs = [[*argv, "--format", fmt] for argv in NUMPY_FREE_RUNS.values() for fmt in ("csv", "json")]
+    child = _child(NUMPY_BLOCKED_CHILD, json.dumps(argvs))
+    assert child.returncode == 0, child.stderr
+    assert child.stderr == ""
+    results = iter(json.loads(child.stdout))
+    for name, argv in NUMPY_FREE_RUNS.items():
+        code, csv_text = next(results)
+        assert code == 0
+        assert csv_text == (GOLDEN_DIR / f"{name}.csv").read_text(encoding="utf-8")
+        code, json_text = next(results)
+        assert code == 0
+        in_process = experiments.EXPERIMENTS[argv[0]](config_from_args(build_parser().parse_args(argv)))
+        in_process.wall_time_s = json.loads(json_text)["wall_time_s"]
+        assert json_text == in_process.to_json()
+
+
+def test_importing_the_package_leaves_numpy_unexecuted_until_an_array_is_needed():
+    child = _child(LAZY_NUMPY_CHILD)
+    assert child.returncode == 0, child.stderr
