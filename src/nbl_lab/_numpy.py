@@ -1,9 +1,9 @@
 """numpy, bound lazily: the package's one numpy import.
 
-``np`` is executed on its first attribute access, so a process whose
-experiment uses no array (orthogonality, readout-scaling, bounds-table)
-never pays for loading numpy.  After that access it is the plain numpy
-module.  A numpy already in ``sys.modules`` is used as it is.
+``np`` is executed on its first attribute access.  No CLI experiment uses
+an array, so an ``nbl-lab`` process never pays for loading numpy; the wave
+and array API does.  After that access it is the plain numpy module.  A
+numpy already in ``sys.modules`` is used as it is.
 """
 
 import importlib.util

@@ -14,15 +14,15 @@ import time
 from dataclasses import asdict, dataclass, field
 
 from ._version import __version__
-from .hyperspace import (PRODUCT_STRING_CAP, _enumeration_bits, expand_universe,
-                         realize_superposition, synthesize_universe)
+from .hyperspace import (PRODUCT_STRING_CAP, _enumeration_bits, _expanded_sign_planes,
+                         _universe_sign_planes)
 from .readout import count_failures, stacho_clock_bound, timeshifted_readout_steps
-from .rtw import _BLOCK_BITS, SeedSpec, _index, _master_seed, _stream_int, make_reference_system
+from .rtw import _BLOCK_BITS, SeedSpec, _index, _master_seed, _sign_rows, _stream_int
 from .sinus import (
     EXPONENTIAL,
     LINEAR,
     SinusRepresentation,
-    find_degeneracies,
+    _collision_counts,
     max_system_frequency,
     readout_sample_count,
     value_frequency,
@@ -34,6 +34,7 @@ __all__ = [
     "UNIVERSE_CHECK_CAP",
     "ORTHOGONALITY_SAMPLE_CAP",
     "READOUT_HASH_CAP",
+    "READOUT_TRIAL_BLOCK_CAP",
     "UNIVERSE_OP_CAP",
     "ExperimentConfig",
     "ExperimentReport",
@@ -53,6 +54,7 @@ UNIVERSE_CHECK_CAP = 12
 # acceptance grids and the benchmark run.
 ORTHOGONALITY_SAMPLE_CAP = 2**31  # wave samples, 2 * pairs * sum(K)
 READOUT_HASH_CAP = 2**29  # blake2b calls, sum of trials * (1 + 2N * (1 + ceil(K/512)))
+READOUT_TRIAL_BLOCK_CAP = 2**18  # 64-byte stream blocks one trial holds, max of 2N * ceil(K/512)
 UNIVERSE_OP_CAP = 2**27  # oracle operations, K * sum((N + 1) * 2^N)
 
 @dataclass(frozen=True)
@@ -220,9 +222,11 @@ def run_universe_check(config: ExperimentConfig) -> ExperimentReport:
                      clocks * sum((n + 1) << n for n in config.bits), UNIVERSE_OP_CAP)
     records = []
     for n_bits in sorted(config.bits):
-        refsys = make_reference_system(config.master_seed, n_bits, clocks)
-        direct = synthesize_universe(refsys)
-        oracle = realize_superposition(expand_universe(n_bits), refsys)
+        # Both paths count the -1 terms per clock on the same sign rows; the
+        # value 2^N - 2 * count is what synthesize_universe and
+        # realize_superposition(expand_universe(N)) give on the waves.
+        rows = _sign_rows(config.master_seed, n_bits, clocks)
+        equal = _universe_sign_planes(rows, n_bits) == _expanded_sign_planes(rows, n_bits)
         # Per clock, the product form adds L_r + H_r for each of the N bits
         # and multiplies the N sums together (N - 1 products); the expanded
         # sum accumulates 2^N strings, each a product of N factors folded
@@ -233,7 +237,7 @@ def run_universe_check(config: ExperimentConfig) -> ExperimentReport:
         records.append({
             "N": n_bits,
             "K": clocks,
-            "equal": direct == oracle,
+            "equal": equal,
             "direct_adds_per_clock": direct_adds,
             "direct_muls_per_clock": direct_muls,
             "oracle_adds_per_clock": oracle_adds,
@@ -271,6 +275,11 @@ def run_readout_scaling(config: ExperimentConfig) -> ExperimentReport:
     _refuse_over_cap(f"readout scaling: blake2b calls sum(trials*(1+2N*(1+ceil(K/{_BLOCK_BITS}))))",
                      sum(config.trials * (1 + 2 * n * (1 + -(-k // _BLOCK_BITS)))
                          for n in config.bits for k in config.clocks), READOUT_HASH_CAP)
+    # _xor_rows holds every stream block of a trial at once, so the largest
+    # grid point bounds the memory of a run.
+    _refuse_over_cap(f"readout scaling: stream blocks per trial max(2N*ceil(K/{_BLOCK_BITS}))",
+                     max(2 * n * -(-k // _BLOCK_BITS) for n in config.bits for k in config.clocks),
+                     READOUT_TRIAL_BLOCK_CAP)
     grid = [(n_bits, clocks, _ref_rate(n_bits, clocks))
             for n_bits in sorted(config.bits) for clocks in sorted(config.clocks)]
     records = []
@@ -301,14 +310,14 @@ def run_sinus_comparison(config: ExperimentConfig) -> ExperimentReport:
     for n_bits in sorted(config.bits):
         for kind in (LINEAR, EXPONENTIAL):
             rep = SinusRepresentation(kind, n_bits)
-            report = find_degeneracies(rep)
+            groups, collided = _collision_counts(rep)
             records.append({
                 "kind": kind,
                 "N": n_bits,
                 "f_max": max_system_frequency(rep),
                 "samples": readout_sample_count(rep),
-                "degeneracy_groups": len(report.groups),
-                "collided_strings": report.total_collided,
+                "degeneracy_groups": groups,
+                "collided_strings": collided,
             })
     max_bits = max(config.bits)
     linear, exponential = (SinusRepresentation(kind, max_bits) for kind in (LINEAR, EXPONENTIAL))

@@ -209,6 +209,49 @@ def synthesize_universe(refsys: ReferenceSystem) -> IntegerWave:
     return IntegerWave._wrap(universe)
 
 
+def _universe_sign_planes(rows: list[int], n_bits: int) -> list[int]:
+    """The per-clock count of -1 terms among the 2^N terms of the full
+    universe, from the product form, as N + 1 bit planes: plane j holds bit
+    j of each clock's count, over the sign rows of ``rtw._sign_rows`` (bit
+    set where a sample is -1).
+
+    The product over r of (L_r + H_r) is 0 at a clock where some l_r != h_r,
+    so half of its 2^N terms are -1 there, and ±2^N elsewhere, with every
+    term -1 where an odd number of the L_r are -1.  The per-clock value is
+    2^N - 2 * count, as from ``synthesize_universe``.
+    """
+    differ = odd = 0
+    for low, high in zip(rows[:n_bits], rows[n_bits:]):
+        differ |= low ^ high
+        odd ^= low
+    planes = [0] * (n_bits + 1)
+    if n_bits:
+        planes[n_bits - 1] = differ
+    planes[n_bits] = odd & ~differ
+    return planes
+
+
+def _expanded_sign_planes(rows: list[int], n_bits: int) -> list[int]:
+    """The planes of :func:`_universe_sign_planes`, from the expanded sum.
+
+    Each of the 2^N members folds its N selected sign rows by XOR (a product
+    of N ±1 factors is -1 where an odd number of them are), and a
+    ripple-carry counter over the planes adds the member's row.  The
+    per-clock value is that of ``realize_superposition(expand_universe(N))``.
+    """
+    planes = [0] * (n_bits + 1)
+    factors = [(1 << r, rows[r], rows[n_bits + r]) for r in range(n_bits)]
+    for mask in range(1 << n_bits):
+        carry = 0
+        for bit, low, high in factors:
+            carry ^= high if mask & bit else low
+        j = 0
+        while carry:
+            planes[j], carry = planes[j] ^ carry, planes[j] & carry
+            j += 1
+    return planes
+
+
 def expand_universe(n_bits: int) -> Superposition:
     """The superposition of all 2^N product strings (explicit enumeration)."""
     n_bits = _enumeration_bits(n_bits, "product-string enumeration", PRODUCT_STRING_CAP)

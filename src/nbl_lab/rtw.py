@@ -337,6 +337,21 @@ def _xor_rows(master_seed: int, n_bits: int, clocks: int) -> list[int]:
             for r in range(n_bits)]
 
 
+def _sign_rows(master_seed: int, n_bits: int, clocks: int) -> list[int]:
+    """The 2N rows of ``samples == -1`` of ``make_reference_system(master_seed,
+    n_bits, clocks)``, L_1..L_N then H_1..H_N, straight from the stream
+    digests: a sample is -1 where its stream bit is 0, so each row is the
+    complement of the first *clocks* bits of its stream, one int with clock 1
+    most significant.  Rows are cut as in :func:`_xor_rows`.  The counts are
+    taken as already checked."""
+    n_blocks = -(-clocks // _BLOCK_BITS)
+    streams = _stream_bytes(_derive_keys(master_seed, _BIT_PREFIX, _bit_suffixes(n_bits)), n_blocks)
+    stride, width = n_blocks * _BLOCK_BYTES, -(-clocks // 8)
+    pad, ones = 8 * width - clocks, (1 << clocks) - 1
+    return [ones ^ (int.from_bytes(streams[i * stride:i * stride + width], "big") >> pad)
+            for i in range(2 * n_bits)]
+
+
 def _stream_int(seed: SeedSpec, clocks: int) -> int:
     """The bits of ``seed.bits(clocks)`` straight from the stream digests, as
     one int with clock 1 most significant.  The count is taken as already

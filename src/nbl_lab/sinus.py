@@ -7,6 +7,7 @@ the product of complex-exponential factors sums their integer exponents.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from ._numpy import np
@@ -119,6 +120,20 @@ def find_degeneracies(rep: SinusRepresentation) -> DegeneracyReport:
                                            counts[collided].tolist())
     )
     return DegeneracyReport(rep.kind, n_bits, groups)
+
+
+def _collision_counts(rep: SinusRepresentation) -> tuple[int, int]:
+    """The group count and ``total_collided`` of ``find_degeneracies(rep)``,
+    its oracle in the tests, on Python ints alone: the 2^N product
+    frequencies come from the same N doubling steps, and a Counter counts
+    the strings at each frequency."""
+    n_bits = _enumeration_bits(rep.n_bits, "product-string enumeration", PRODUCT_STRING_CAP)
+    frequencies = [0]
+    for r in range(1, n_bits + 1):
+        low, high = value_frequency(rep, r, "L"), value_frequency(rep, r, "H")
+        frequencies = [f + low for f in frequencies] + [f + high for f in frequencies]
+    collided = [count for count in Counter(frequencies).values() if count >= 2]
+    return len(collided), sum(collided)
 
 
 def max_system_frequency(rep: SinusRepresentation) -> int:

@@ -297,18 +297,27 @@ COMMITTED = [
       "--trials", "100000"], "READOUT_HASH_CAP", 100_000 * 4 * (25 + 33 + 41)),
 ]
 
+# The committed readout-scaling configs again, with the stream blocks that
+# their largest grid point holds per trial, max(2N * ceil(K/512)).
+COMMITTED_READOUT_BLOCKS = [
+    (["readout-scaling"], 2 * 8),
+    (["readout-scaling", "--bits-range", "6,8,10", "--clocks-range", "12,16,20",
+      "--trials", "10000"], 2 * 10),
+    (["readout-scaling", "--bits-range", "6,8,10", "--clocks-range", "8,12,16,20",
+      "--trials", "100000"], 2 * 10),
+]
+
 
 class TestCostCaps:
     @pytest.fixture(autouse=True)
     def _forbid_work(self, monkeypatch):
         # Every test here must be decided by the cap check alone.
         monkeypatch.delenv(SEED_ENV_VAR, raising=False)
-        for name in ("_stream_int", "make_reference_system", "count_failures"):
+        for name in ("_stream_int", "_sign_rows", "count_failures"):
             monkeypatch.setattr(experiments, name, _no_work)
 
-    @pytest.mark.parametrize("argv,cap,estimate", COMMITTED,
-                             ids=[" ".join(argv) for argv, _, _ in COMMITTED])
-    def test_committed_configs_sit_8x_under_their_cap(self, argv, cap, estimate, monkeypatch):
+    @staticmethod
+    def _sits_8x_under(argv, cap, estimate, monkeypatch):
         assert 8 * estimate <= getattr(experiments, cap)
         config = _config(argv)
         monkeypatch.setattr(experiments, cap, estimate)
@@ -318,12 +327,25 @@ class TestCostCaps:
         with pytest.raises(ValueError, match=f"= {estimate} exceeds cap {estimate - 1}$"):
             experiments.EXPERIMENTS[argv[0]](config)
 
+    @pytest.mark.parametrize("argv,cap,estimate", COMMITTED,
+                             ids=[" ".join(argv) for argv, _, _ in COMMITTED])
+    def test_committed_configs_sit_8x_under_their_cap(self, argv, cap, estimate, monkeypatch):
+        self._sits_8x_under(argv, cap, estimate, monkeypatch)
+
+    @pytest.mark.parametrize("argv,estimate", COMMITTED_READOUT_BLOCKS,
+                             ids=[" ".join(argv) for argv, _ in COMMITTED_READOUT_BLOCKS])
+    def test_committed_readout_configs_sit_8x_under_the_trial_block_cap(self, argv, estimate,
+                                                                       monkeypatch):
+        self._sits_8x_under(argv, "READOUT_TRIAL_BLOCK_CAP", estimate, monkeypatch)
+
     @pytest.mark.parametrize("argv,cap", [
         (["orthogonality", "--clocks", str(2**30), "--trials", "1"], "ORTHOGONALITY_SAMPLE_CAP"),
         (["universe-check", "--bits", "0", "--clocks", str(2**27)], "UNIVERSE_OP_CAP"),
         (["universe-check", "--bits", "3", "--clocks", str(2**22)], "UNIVERSE_OP_CAP"),
         (["readout-scaling", "--bits", "0", "--clocks", "0", "--trials", str(2**29)],
          "READOUT_HASH_CAP"),
+        (["readout-scaling", "--bits", "256", "--clocks", str(2**18), "--trials", "1"],
+         "READOUT_TRIAL_BLOCK_CAP"),
     ])
     def test_a_config_at_its_cap_passes_the_check(self, argv, cap):
         config = _config(argv)
@@ -344,6 +366,10 @@ class TestCostCaps:
          f"= {7 * 10**9} exceeds cap {2**29}"),
         (["readout-scaling", "--bits", "0", "--clocks", "0", "--trials", str(2**29 + 1)],
          f"= {2**29 + 1} exceeds cap {2**29}"),
+        # Within the hash cap and the ref_rate check, but one trial would
+        # hold 2 * 262144 * 511 blocks (about 17 GB) of stream.
+        (["readout-scaling", "--bits", "262144", "--clocks", "261200", "--trials", "1"],
+         f"stream blocks per trial max(2N*ceil(K/512)) = {2 * 262144 * 511} exceeds cap {2**18}"),
     ])
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_over_cap_config_exits_2_naming_the_cap(self, argv, reason, fmt, capsys):
@@ -351,6 +377,36 @@ class TestCostCaps:
         assert code == 2
         assert out == ""
         assert reason in err
+
+
+# Runs cli.main on its argv under a 1 GiB address-space limit, so an
+# allocation that the caps should have refused ends the child, not the box.
+RLIMITED_CHILD = """
+import resource, sys
+soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+limit = 1 << 30 if hard == resource.RLIM_INFINITY else min(1 << 30, hard)
+resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
+from nbl_lab.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+class TestFarEndsOfTheCaps:
+    @pytest.mark.parametrize("argv,code", [
+        # universe-check at UNIVERSE_OP_CAP along each axis
+        (["universe-check", "--bits", "0", "--clocks", str(2**27)], 0),
+        (["universe-check", "--bits", "1", "--clocks", str(2**25)], 0),
+        (["universe-check", "--bits", "12", "--clocks", "2520"], 0),
+        # within READOUT_HASH_CAP, refused by READOUT_TRIAL_BLOCK_CAP
+        (["readout-scaling", "--bits", "262144", "--clocks", "261200", "--trials", "1"], 2),
+    ], ids=lambda value: " ".join(value) if isinstance(value, list) else None)
+    def test_runs_in_1_gib_without_a_traceback(self, argv, code):
+        child = subprocess.run([sys.executable, "-c", RLIMITED_CHILD, *argv],
+                               capture_output=True, text=True, timeout=120)
+        assert child.returncode == code, child.stderr
+        assert "Traceback" not in child.stderr
+        if code == 2:
+            assert "exceeds cap 262144" in child.stderr
 
 
 class TestHelp:

@@ -11,17 +11,27 @@ from hypothesis import strategies as st
 
 from nbl_lab import (
     DEFAULT_MASTER_SEED,
+    EXPONENTIAL,
+    LINEAR,
     SCHEMA_VERSION,
     ExperimentConfig,
     ExperimentReport,
     SeedSpec,
+    SinusRepresentation,
     __version__,
+    expand_universe,
+    find_degeneracies,
     generate_rtw,
+    make_reference_system,
+    max_system_frequency,
+    readout_sample_count,
+    realize_superposition,
     run_bounds_table,
     run_orthogonality,
     run_readout_scaling,
     run_sinus_comparison,
     run_universe_check,
+    synthesize_universe,
     time_average_product,
 )
 from nbl_lab.experiments import _bit_correlation
@@ -197,7 +207,56 @@ class TestOrthogonality:
         golden("orthogonality.csv", run_orthogonality(config).to_csv())
 
 
+def array_path_universe_check(config: ExperimentConfig) -> list[dict]:
+    """run_universe_check's records with `equal` taken on the waves of
+    synthesize_universe and realize_superposition(expand_universe(N)), the
+    array API that the sign-plane path replaces."""
+    clocks = config.clocks[0]
+    records = []
+    for n in sorted(config.bits):
+        system = make_reference_system(config.master_seed, n, clocks)
+        oracle = realize_superposition(expand_universe(n), system)
+        direct_total = n + max(n - 1, 0)
+        records.append({
+            "N": n,
+            "K": clocks,
+            "equal": synthesize_universe(system) == oracle,
+            "direct_adds_per_clock": n,
+            "direct_muls_per_clock": max(n - 1, 0),
+            "oracle_adds_per_clock": 1 << n,
+            "oracle_muls_per_clock": n << n,
+            "op_ratio": ((1 << n) + (n << n)) / direct_total if direct_total else 1.0,
+            "master_seed": config.master_seed,
+        })
+    return records
+
+
+def array_path_sinus_comparison(config: ExperimentConfig) -> list[dict]:
+    """run_sinus_comparison's records with the degeneracy counts of
+    find_degeneracies, the numpy scan that the Counter path replaces."""
+    records = []
+    for n in sorted(config.bits):
+        for kind in (LINEAR, EXPONENTIAL):
+            rep = SinusRepresentation(kind, n)
+            report = find_degeneracies(rep)
+            records.append({
+                "kind": kind,
+                "N": n,
+                "f_max": max_system_frequency(rep),
+                "samples": readout_sample_count(rep),
+                "degeneracy_groups": len(report.groups),
+                "collided_strings": report.total_collided,
+            })
+    return records
+
+
 class TestUniverseCheck:
+    @pytest.mark.parametrize("master_seed", [SEED, 0, 2**64 - 1])
+    def test_report_matches_the_array_path(self, master_seed):
+        config = ExperimentConfig("universe-check", bits=(12, 0, 1, 2, 3, 5, 8), clocks=(513,),
+                                  master_seed=master_seed)
+        assert run_universe_check(config).records == array_path_universe_check(config)
+
     def test_all_points_pass_with_exact_op_ratio(self):
         config = ExperimentConfig("universe-check", bits=(1, 2, 4, 6, 8, 10), clocks=(128,),
                                   trials=1, master_seed=SEED)
@@ -272,6 +331,10 @@ class TestReadoutScaling:
 
 
 class TestSinusComparison:
+    def test_report_matches_the_array_path(self):
+        config = ExperimentConfig("sinus-comparison", bits=(16, 0, 1, 2, 3, 5, 8, 12))
+        assert run_sinus_comparison(config).records == array_path_sinus_comparison(config)
+
     def test_two_bit_row_matches_published_numbers(self):
         config = ExperimentConfig("sinus-comparison", bits=(2,), trials=1)
         report = run_sinus_comparison(config)

@@ -27,6 +27,7 @@ from nbl_lab import (
     run_universe_check,
     synthesize_universe,
 )
+from nbl_lab.readout import _pack_rows
 
 SEED = 0xD1CEBA5E
 
@@ -347,6 +348,53 @@ class TestSynthesizeUniverse:
         pieces = [synthesize_universe(ReferenceSystem(full.samples[:, :, start:stop])).samples
                   for start, stop in ((0, 17), (17, 64), (64, 96))]
         assert np.array_equal(np.concatenate(pieces), whole.samples)
+
+
+def sign_rows(system):
+    """The 2N rows of samples == -1, L_1..L_N then H_1..H_N, each one K-bit
+    int with clock 1 most significant."""
+    pad = 8 * -(-system.clocks // 8) - system.clocks
+    signs = system.samples.reshape(2 * system.n_bits, system.clocks) == -1
+    return [row >> pad for row in _pack_rows(signs)]
+
+
+def plane_values(planes, n_bits, clocks):
+    """Per clock, 2^N - 2 * count, with the count read from its bit planes."""
+    width = -(-clocks // 8)
+    counts = np.zeros(clocks, dtype=np.int64)
+    for j, plane in enumerate(planes):
+        bits = np.unpackbits(np.frombuffer(plane.to_bytes(width, "big"), dtype=np.uint8))
+        counts += bits[8 * width - clocks:].astype(np.int64) << j
+    return (1 << n_bits) - 2 * counts
+
+
+class TestSignPlanes:
+    # K % 8 != 0 and the 512-clock block edges.
+    @given(st.integers(0, 10), st.sampled_from([1, 7, 8, 511, 512, 513, 1030]),
+           st.integers(0, 2**64 - 1))
+    @example(0, 1, SEED)
+    @example(1, 7, SEED)
+    @example(10, 1030, SEED)
+    @settings(max_examples=60, deadline=None)
+    def test_plane_values_are_the_universe_waves(self, n_bits, clocks, master_seed):
+        system = make_reference_system(master_seed, n_bits, clocks)
+        rows = sign_rows(system)
+        product = hyperspace._universe_sign_planes(rows, n_bits)
+        expanded = hyperspace._expanded_sign_planes(rows, n_bits)
+        assert len(product) == len(expanded) == n_bits + 1
+        assert np.array_equal(plane_values(product, n_bits, clocks),
+                              synthesize_universe(system).samples)
+        assert np.array_equal(plane_values(expanded, n_bits, clocks),
+                              realize_superposition(expand_universe(n_bits), system).samples)
+
+    @pytest.mark.parametrize("planes", [hyperspace._universe_sign_planes,
+                                        hyperspace._expanded_sign_planes])
+    def test_hand_worked_counts(self, planes):
+        # Clock 1 is the high bit.  Clock 1: every sample -1, so the universe
+        # is (-2)(-2) = 4 and no term is -1.  Clock 2: (-2)(+2) = -4, all four
+        # terms -1.  Clocks 3 and 4: one bit differs, 0, two terms -1.
+        low, high = [0b1100, 0b1010], [0b1100, 0b1001]
+        assert planes([*low, *high], 2) == [0b0000, 0b0011, 0b0100]
 
 
 class TestExpandUniverse:

@@ -1,6 +1,6 @@
 """The package as a whole: each module's __all__, declared once; the one
-integer rule for counts; numpy loaded only by the experiments that use it;
-and the README's library example."""
+integer rule for counts; numpy loaded by no experiment, only by the array
+API; and the README's library example."""
 
 import json
 import re
@@ -81,7 +81,7 @@ def test_readme_library_example_runs():
     exec(compile(block.group(1), str(README), "exec"), {})
 
 
-# The golden configs of the three experiments that use no array.
+# The golden configs of the five experiments, none of which uses an array.
 NUMPY_FREE_RUNS = {
     "orthogonality": ["orthogonality", "--clocks-range", "100,400", "--trials", "10",
                       "--seed", "0xD1CEBA5E"],
@@ -89,6 +89,9 @@ NUMPY_FREE_RUNS = {
                         "--trials", "50", "--seed", "0xD1CEBA5E"],
     "bounds_table": ["bounds-table", "--bits-range", "2,64,1024", "--epsilon", "0,0.5",
                      "--p-target", "0.001"],
+    "universe_check": ["universe-check", "--bits-range", "0,2,4", "--clocks", "64",
+                       "--seed", "0xD1CEBA5E"],
+    "sinus_comparison": ["sinus-comparison", "--bits-range", "1,2,4"],
 }
 
 # Runs each argv list through cli.main with numpy blocked: any import of numpy

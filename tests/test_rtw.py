@@ -23,7 +23,7 @@ from nbl_lab import (
     time_average_product,
 )
 from nbl_lab.readout import _pack_rows
-from nbl_lab.rtw import _derive_keys, _encode_path, _xor_rows
+from nbl_lab.rtw import _derive_keys, _encode_path, _sign_rows, _xor_rows
 
 SEED = 0xD1CEBA5E
 
@@ -446,6 +446,22 @@ class TestReferenceSystem:
         low, high = make_reference_system(master_seed, n_bits, clocks).samples
         pad = 8 * -(-clocks // 8) - clocks
         assert _xor_rows(master_seed, n_bits, clocks) == [row >> pad for row in _pack_rows(low != high)]
+
+    # K = 0, K % 8 != 0, and the 512-clock block edges.
+    @given(st.integers(0, 12), st.integers(0, 2**64 - 1),
+           st.one_of(st.sampled_from([0, 1, 7, 8, 511, 512, 513, 1030]), st.integers(0, 1100)))
+    @example(12, SEED, 0)
+    @example(5, SEED, 7)
+    @example(3, SEED, 511)
+    @example(3, SEED, 512)
+    @example(3, SEED, 513)
+    @example(2, SEED, 1030)
+    @settings(max_examples=100, deadline=None)
+    def test_sign_rows_are_the_packed_minus_one_samples(self, n_bits, master_seed, clocks):
+        samples = make_reference_system(master_seed, n_bits, clocks).samples
+        pad = 8 * -(-clocks // 8) - clocks
+        expected = [row >> pad for row in _pack_rows(samples.reshape(2 * n_bits, clocks) == -1)]
+        assert _sign_rows(master_seed, n_bits, clocks) == expected
 
 
 class TestWaveFiles:

@@ -6,7 +6,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nbl_lab import (
@@ -24,6 +24,7 @@ from nbl_lab import (
     realize_sinus_product,
     value_frequency,
 )
+from nbl_lab.sinus import _collision_counts
 
 
 def rep(kind, n_bits):
@@ -193,6 +194,18 @@ class TestFindDegeneracies:
     def test_matches_per_string_oracle(self, kind, n_bits):
         representation = rep(kind, n_bits)
         assert find_degeneracies(representation) == per_string_degeneracies(representation)
+
+    @settings(max_examples=40, deadline=None)
+    @given(kind=st.sampled_from([LINEAR, EXPONENTIAL]), n_bits=st.integers(0, 12))
+    @example(kind=LINEAR, n_bits=16)
+    @example(kind=EXPONENTIAL, n_bits=16)
+    def test_collision_counts_are_the_report_totals(self, kind, n_bits):
+        report = find_degeneracies(rep(kind, n_bits))
+        assert _collision_counts(rep(kind, n_bits)) == (len(report.groups), report.total_collided)
+
+    def test_collision_counts_cap_named_in_error(self):
+        with pytest.raises(EnumerationCapError, match="16"):
+            _collision_counts(rep(LINEAR, 17))
 
     def test_linear_sixteen_bits_matches_closed_form(self, bench_oracles):
         # A string with k H selections sits at N^2 + k; bench/oracles.py
