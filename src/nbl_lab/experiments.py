@@ -17,7 +17,7 @@ from ._version import __version__
 from .hyperspace import (PRODUCT_STRING_CAP, _enumeration_bits, _expanded_sign_planes,
                          _universe_sign_planes)
 from .readout import count_failures, stacho_clock_bound, timeshifted_readout_steps
-from .rtw import _BLOCK_BITS, SeedSpec, _index, _master_seed, _sign_rows, _stream_int
+from .rtw import _BLOCK_BITS, SeedSpec, _bit_rows, _index, _master_seed, _stream_rows
 from .sinus import (
     EXPONENTIAL,
     LINEAR,
@@ -188,8 +188,9 @@ def run_orthogonality(config: ExperimentConfig) -> ExperimentReport:
         values = []
         self_check = None
         for pair in range(config.trials):
-            a = _stream_int(root.child("pair", pair, 0), clocks)
-            b = _stream_int(root.child("pair", pair, 1), clocks)
+            # One read per stream, so a pair never holds both streams' bytes at once.
+            (a,) = _stream_rows([root.child("pair", pair, 0).stream_key()], clocks)
+            (b,) = _stream_rows([root.child("pair", pair, 1).stream_key()], clocks)
             values.append(abs(_bit_correlation(a, b, clocks)))
             if self_check is None:
                 self_check = _bit_correlation(a, a, clocks)
@@ -220,12 +221,15 @@ def run_universe_check(config: ExperimentConfig) -> ExperimentReport:
     # The expanded-sum oracle's 2^N accumulations and N*2^N multiplications per clock.
     _refuse_over_cap("universe check: oracle operations K*sum((N+1)*2^N)",
                      clocks * sum((n + 1) << n for n in config.bits), UNIVERSE_OP_CAP)
+    ones = (1 << clocks) - 1
     records = []
     for n_bits in sorted(config.bits):
         # Both paths count the -1 terms per clock on the same sign rows; the
         # value 2^N - 2 * count is what synthesize_universe and
-        # realize_superposition(expand_universe(N)) give on the waves.
-        rows = _sign_rows(config.master_seed, n_bits, clocks)
+        # realize_superposition(expand_universe(N)) give on the waves.  A
+        # sample is -1 where its stream bit is 0, so a sign row is the
+        # complement of its bit row.
+        rows = [ones ^ row for row in _bit_rows(config.master_seed, n_bits, clocks)]
         equal = _universe_sign_planes(rows, n_bits) == _expanded_sign_planes(rows, n_bits)
         # Per clock, the product form adds L_r + H_r for each of the N bits
         # and multiplies the N sums together (N - 1 products); the expanded
@@ -275,8 +279,8 @@ def run_readout_scaling(config: ExperimentConfig) -> ExperimentReport:
     _refuse_over_cap(f"readout scaling: blake2b calls sum(trials*(1+2N*(1+ceil(K/{_BLOCK_BITS}))))",
                      sum(config.trials * (1 + 2 * n * (1 + -(-k // _BLOCK_BITS)))
                          for n in config.bits for k in config.clocks), READOUT_HASH_CAP)
-    # _xor_rows holds every stream block of a trial at once, so the largest
-    # grid point bounds the memory of a run.
+    # A trial reads all 2N of its streams in one _bit_rows call, so the
+    # largest grid point bounds the memory of a run.
     _refuse_over_cap(f"readout scaling: stream blocks per trial max(2N*ceil(K/{_BLOCK_BITS}))",
                      max(2 * n * -(-k // _BLOCK_BITS) for n in config.bits for k in config.clocks),
                      READOUT_TRIAL_BLOCK_CAP)

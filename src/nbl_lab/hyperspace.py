@@ -212,8 +212,9 @@ def synthesize_universe(refsys: ReferenceSystem) -> IntegerWave:
 def _universe_sign_planes(rows: list[int], n_bits: int) -> list[int]:
     """The per-clock count of -1 terms among the 2^N terms of the full
     universe, from the product form, as N + 1 bit planes: plane j holds bit
-    j of each clock's count, over the sign rows of ``rtw._sign_rows`` (bit
-    set where a sample is -1).
+    j of each clock's count, over the 2N sign rows L_1..L_N, H_1..H_N as
+    K-bit ints (bit set where a sample is -1; the complements of
+    ``rtw._bit_rows``).
 
     The product over r of (L_r + H_r) is 0 at a clock where some l_r != h_r,
     so half of its 2^N terms are -1 there, and ±2^N elsewhere, with every

@@ -17,13 +17,14 @@ calculators for two such external schemes are included.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Union
 
 from ._numpy import np
 from .hyperspace import PRODUCT_STRING_CAP, ProductString, _enumeration_bits, realize_product
 from .rtw import (ClockedWave, IntegerWave, ReferenceSystem, SeedSpec, _all_bipolar,
-                  _derive_keys, _encode_path, _encode_path_element, _index, _xor_rows,
+                  _bit_rows, _derive_keys, _encode_path, _encode_path_element, _index,
                   make_reference_system)
 
 __all__ = [
@@ -340,7 +341,8 @@ def count_failures(n_bits: int, clocks: int, trials: int, master_seed: int) -> i
                               _index(trials, "trials", 1))
     failures = 0
     for trial_seed in _trial_seeds(master_seed, range(trials)):
-        failures += _Gf2Basis(_xor_rows(trial_seed, n_bits, clocks)).rank < n_bits
+        rows = _bit_rows(trial_seed, n_bits, clocks)  # L_1..L_N, then H_1..H_N
+        failures += _Gf2Basis(map(operator.xor, rows[:n_bits], rows[n_bits:])).rank < n_bits
     return failures
 
 

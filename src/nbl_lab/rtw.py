@@ -11,7 +11,7 @@ import functools
 import hashlib
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 from ._numpy import np
 
@@ -130,12 +130,28 @@ class SeedSpec:
         return np.unpackbits(np.frombuffer(buf, dtype=np.uint8))[:count]
 
 
-def _stream_bytes(keys: Iterable[bytes], n_blocks: int) -> bytes:
+def _stream_bytes(keys: Sequence[bytes], n_blocks: int) -> bytes:
     """The first *n_blocks* blocks of each key's stream, key after key: block
     i is the keyed blake2b digest of the 8-byte big-endian counter i."""
+    if not keys:
+        return b""
     counters = [i.to_bytes(8, "big") for i in range(n_blocks)]
     return b"".join(hashlib.blake2b(counter, key=key, digest_size=_BLOCK_BYTES).digest()
                     for key in keys for counter in counters)
+
+
+def _stream_rows(keys: Sequence[bytes], clocks: int) -> list[int]:
+    """Each key's first *clocks* stream bits (the bits of ``SeedSpec.bits``)
+    as one int, clock 1 most significant, all cut from one
+    :func:`_stream_bytes` call.  The count is taken as already checked."""
+    if not clocks:  # no blocks, so no stride to step by
+        return [0] * len(keys)
+    n_blocks = -(-clocks // _BLOCK_BITS)
+    streams = _stream_bytes(keys, n_blocks)
+    width = -(-clocks // 8)
+    pad = 8 * width - clocks
+    return [int.from_bytes(streams[i:i + width], "big") >> pad
+            for i in range(0, len(streams), n_blocks * _BLOCK_BYTES)]
 
 
 def _encode_path(path: Iterable[PathElement]) -> bytes:
@@ -312,53 +328,19 @@ def make_reference_system(master_seed: int, n_bits: int, clocks: int) -> Referen
     """Build the 2N reference waves from distinct substreams of one seed:
     L_r is the stream at path ("bit", r, "L") and H_r at ("bit", r, "H")."""
     n_bits, clocks = _index(n_bits, "n_bits", 0), _index(clocks, "clocks", 0)
-    keys = _derive_keys(master_seed, _BIT_PREFIX, _bit_suffixes(n_bits))
+    keys = list(_derive_keys(master_seed, _BIT_PREFIX, _bit_suffixes(n_bits)))
     n_blocks = -(-clocks // _BLOCK_BITS)
     bits = np.unpackbits(np.frombuffer(_stream_bytes(keys, n_blocks), dtype=np.uint8))
     bits = bits.reshape(2, n_bits, n_blocks * _BLOCK_BITS)[..., :clocks].view(np.int8)
     return ReferenceSystem._wrap(2 * bits - 1)
 
 
-def _xor_rows(master_seed: int, n_bits: int, clocks: int) -> list[int]:
-    """The rows of ``samples[0] != samples[1]`` of
-    ``make_reference_system(master_seed, n_bits, clocks)``, straight from the
-    stream digests: row r-1 is the first *clocks* bits of stream ("bit", r,
-    "L") xor stream ("bit", r, "H"), one int with clock 1 most significant.
-    The counts are taken as already checked."""
-    n_blocks = -(-clocks // _BLOCK_BITS)
-    streams = _stream_bytes(_derive_keys(master_seed, _BIT_PREFIX, _bit_suffixes(n_bits)), n_blocks)
-    half = len(streams) // 2  # every L stream, then every H stream
-    xor = (int.from_bytes(streams[:half], "big")
-           ^ int.from_bytes(streams[half:], "big")).to_bytes(half, "big")
-    # Row r starts at r * stride; indexing, not a range() step, since K = 0 gives stride 0.
-    stride, width = n_blocks * _BLOCK_BYTES, -(-clocks // 8)
-    pad = 8 * width - clocks
-    return [int.from_bytes(xor[r * stride:r * stride + width], "big") >> pad
-            for r in range(n_bits)]
-
-
-def _sign_rows(master_seed: int, n_bits: int, clocks: int) -> list[int]:
-    """The 2N rows of ``samples == -1`` of ``make_reference_system(master_seed,
-    n_bits, clocks)``, L_1..L_N then H_1..H_N, straight from the stream
-    digests: a sample is -1 where its stream bit is 0, so each row is the
-    complement of the first *clocks* bits of its stream, one int with clock 1
-    most significant.  Rows are cut as in :func:`_xor_rows`.  The counts are
-    taken as already checked."""
-    n_blocks = -(-clocks // _BLOCK_BITS)
-    streams = _stream_bytes(_derive_keys(master_seed, _BIT_PREFIX, _bit_suffixes(n_bits)), n_blocks)
-    stride, width = n_blocks * _BLOCK_BYTES, -(-clocks // 8)
-    pad, ones = 8 * width - clocks, (1 << clocks) - 1
-    return [ones ^ (int.from_bytes(streams[i * stride:i * stride + width], "big") >> pad)
-            for i in range(2 * n_bits)]
-
-
-def _stream_int(seed: SeedSpec, clocks: int) -> int:
-    """The bits of ``seed.bits(clocks)`` straight from the stream digests, as
-    one int with clock 1 most significant.  The count is taken as already
-    checked."""
-    n_blocks = -(-clocks // _BLOCK_BITS)
-    stream = _stream_bytes((seed.stream_key(),), n_blocks)
-    return int.from_bytes(stream, "big") >> (n_blocks * _BLOCK_BITS - clocks)
+def _bit_rows(master_seed: int, n_bits: int, clocks: int) -> list[int]:
+    """The 2N waves of ``make_reference_system(master_seed, n_bits, clocks)``,
+    L_1..L_N then H_1..H_N, as the stream rows of :func:`_stream_rows`: a
+    row's bit is set at each clock where its wave's sample is +1."""
+    return _stream_rows(list(_derive_keys(master_seed, _BIT_PREFIX, _bit_suffixes(n_bits))),
+                        clocks)
 
 
 def multiply(a: ClockedWave, b: ClockedWave) -> ClockedWave:

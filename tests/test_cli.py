@@ -1,5 +1,7 @@
 """CLI surface: flags, seed resolution, exit codes, output files."""
 
+import contextlib
+import io
 import json
 import re
 import shutil
@@ -7,6 +9,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nbl_lab import DEFAULT_MASTER_SEED, experiments
 from nbl_lab.cli import SEED_ENV_VAR, build_parser, config_from_args, main
@@ -313,7 +317,7 @@ class TestCostCaps:
     def _forbid_work(self, monkeypatch):
         # Every test here must be decided by the cap check alone.
         monkeypatch.delenv(SEED_ENV_VAR, raising=False)
-        for name in ("_stream_int", "_sign_rows", "count_failures"):
+        for name in ("_stream_rows", "_bit_rows", "count_failures"):
             monkeypatch.setattr(experiments, name, _no_work)
 
     @staticmethod
@@ -397,6 +401,12 @@ class TestFarEndsOfTheCaps:
         (["universe-check", "--bits", "0", "--clocks", str(2**27)], 0),
         (["universe-check", "--bits", "1", "--clocks", str(2**25)], 0),
         (["universe-check", "--bits", "12", "--clocks", "2520"], 0),
+        # orthogonality at ORTHOGONALITY_SAMPLE_CAP: one pair of 2^30-clock
+        # streams, read one stream at a time
+        (["orthogonality", "--clocks", str(2**30), "--trials", "1"], 0),
+        # readout-scaling at READOUT_TRIAL_BLOCK_CAP: the largest N it admits
+        # at K = 8192 (N = 8193 is refused)
+        (["readout-scaling", "--bits", "8192", "--clocks", "8192", "--trials", "1"], 0),
         # within READOUT_HASH_CAP, refused by READOUT_TRIAL_BLOCK_CAP
         (["readout-scaling", "--bits", "262144", "--clocks", "261200", "--trials", "1"], 2),
     ], ids=lambda value: " ".join(value) if isinstance(value, list) else None)
@@ -407,6 +417,51 @@ class TestFarEndsOfTheCaps:
         assert "Traceback" not in child.stderr
         if code == 2:
             assert "exceeds cap 262144" in child.stderr
+
+
+def _grid_flag(name, counts):
+    """--NAME with one count, or --NAME-range with one to three."""
+    return st.one_of(counts.map(lambda n: [f"--{name}={n}"]),
+                     st.lists(counts, min_size=1, max_size=3).map(
+                         lambda ns: [f"--{name}-range={','.join(map(str, ns))}"]))
+
+
+@st.composite
+def small_argv(draw):
+    """A small argv for any experiment, with only the flags it reads; counts
+    stray one below their minimum and floats take any value."""
+    experiment = draw(st.sampled_from(sorted(FLAGS_READ)))
+    reads = FLAGS_READ[experiment]
+    argv = [experiment]
+    if "--bits" in reads:
+        argv += draw(_grid_flag("bits", st.integers(-1, 12)))
+    if "--clocks" in reads:
+        argv += draw(_grid_flag("clocks", st.integers(-1, 600)))
+    if "--trials" in reads:
+        argv.append(f"--trials={draw(st.integers(0, 20))}")
+    if "--seed" in reads and draw(st.booleans()):
+        argv.append(f"--seed={draw(st.integers(-1, 2**64))}")
+    for flag in ("--epsilon", "--p-target"):
+        if flag in reads and draw(st.booleans()):
+            values = draw(st.lists(st.floats(), min_size=1, max_size=2))
+            argv.append(f"{flag}={','.join(map(repr, values))}")
+    return [*argv, f"--format={draw(st.sampled_from(['csv', 'json']))}"]
+
+
+class TestSmallArgv:
+    @given(small_argv())
+    @settings(max_examples=150, deadline=None)
+    def test_exits_0_or_2_and_json_parses(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse refuses a flag value
+                code = exc.code
+        assert code in (0, 2), err.getvalue()
+        assert "Traceback" not in err.getvalue()
+        if code == 0 and argv[-1] == "--format=json":
+            json.loads(out.getvalue())
 
 
 class TestHelp:

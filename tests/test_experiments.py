@@ -35,7 +35,7 @@ from nbl_lab import (
     time_average_product,
 )
 from nbl_lab.experiments import _bit_correlation
-from nbl_lab.rtw import _stream_int
+from nbl_lab.rtw import _stream_rows
 
 SEED = 0xD1CEBA5E
 
@@ -167,7 +167,7 @@ class TestOrthogonality:
     @settings(max_examples=100, deadline=None)
     def test_pair_value_is_the_wave_time_average(self, master_seed, pair, clocks):
         seeds = [SeedSpec(master_seed).child("pair", pair, side) for side in (0, 1)]
-        a, b = (_stream_int(seed, clocks) for seed in seeds)
+        a, b = (_stream_rows([seed.stream_key()], clocks)[0] for seed in seeds)
         waves = [generate_rtw(seed, clocks) for seed in seeds]
         assert abs(_bit_correlation(a, b, clocks)) == abs(time_average_product(*waves))
         assert _bit_correlation(a, a, clocks) == time_average_product(waves[0], waves[0])

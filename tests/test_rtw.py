@@ -4,6 +4,7 @@ orthogonality statistics."""
 import hashlib
 import re
 import statistics
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from nbl_lab import (
     time_average_product,
 )
 from nbl_lab.readout import _pack_rows
-from nbl_lab.rtw import _derive_keys, _encode_path, _sign_rows, _xor_rows
+from nbl_lab.rtw import _bit_rows, _derive_keys, _encode_path, _stream_bytes
 
 SEED = 0xD1CEBA5E
 
@@ -117,6 +118,16 @@ class TestSeedSpec:
             for i in range(3))
         expected = np.unpackbits(np.frombuffer(blocks, dtype=np.uint8))[:count]
         assert np.array_equal(spec.bits(count), expected)
+
+    def test_no_keys_hash_nothing_and_hold_nothing(self):
+        # 2^18 eight-byte counters would take about 12.5 MiB for no stream.
+        tracemalloc.start()
+        try:
+            assert _stream_bytes([], 2**18) == b""
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
 
     @pytest.mark.parametrize("count", [True, 2.5, "4"])
     def test_bit_count_must_be_an_integer(self, count):
@@ -442,10 +453,12 @@ class TestReferenceSystem:
     @example(2, SEED, 1024)
     @example(2, SEED, 1025)
     @settings(max_examples=100, deadline=None)
-    def test_xor_rows_are_the_packed_differences(self, n_bits, master_seed, clocks):
+    def test_bit_row_halves_xor_to_the_packed_differences(self, n_bits, master_seed, clocks):
         low, high = make_reference_system(master_seed, n_bits, clocks).samples
         pad = 8 * -(-clocks // 8) - clocks
-        assert _xor_rows(master_seed, n_bits, clocks) == [row >> pad for row in _pack_rows(low != high)]
+        rows = _bit_rows(master_seed, n_bits, clocks)
+        assert [l ^ h for l, h in zip(rows[:n_bits], rows[n_bits:])] == [
+            row >> pad for row in _pack_rows(low != high)]
 
     # K = 0, K % 8 != 0, and the 512-clock block edges.
     @given(st.integers(0, 12), st.integers(0, 2**64 - 1),
@@ -457,11 +470,13 @@ class TestReferenceSystem:
     @example(3, SEED, 513)
     @example(2, SEED, 1030)
     @settings(max_examples=100, deadline=None)
-    def test_sign_rows_are_the_packed_minus_one_samples(self, n_bits, master_seed, clocks):
+    def test_bit_row_complements_are_the_packed_minus_one_samples(self, n_bits, master_seed,
+                                                                  clocks):
         samples = make_reference_system(master_seed, n_bits, clocks).samples
         pad = 8 * -(-clocks // 8) - clocks
         expected = [row >> pad for row in _pack_rows(samples.reshape(2 * n_bits, clocks) == -1)]
-        assert _sign_rows(master_seed, n_bits, clocks) == expected
+        ones = (1 << clocks) - 1
+        assert [ones ^ row for row in _bit_rows(master_seed, n_bits, clocks)] == expected
 
 
 class TestWaveFiles:
