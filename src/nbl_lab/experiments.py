@@ -17,7 +17,7 @@ from ._version import __version__
 from .hyperspace import (PRODUCT_STRING_CAP, _enumeration_bits, _expanded_sign_planes,
                          _universe_sign_planes)
 from .readout import count_failures, stacho_clock_bound, timeshifted_readout_steps
-from .rtw import _BLOCK_BITS, SeedSpec, _bit_rows, _index, _master_seed, _stream_rows
+from .rtw import _BLOCK_BITS, SeedSpec, _index, _master_seed, _reference_rows, _stream_rows
 from .sinus import (
     EXPONENTIAL,
     LINEAR,
@@ -35,6 +35,7 @@ __all__ = [
     "ORTHOGONALITY_SAMPLE_CAP",
     "READOUT_HASH_CAP",
     "READOUT_TRIAL_BLOCK_CAP",
+    "READOUT_BITS_CAP",
     "UNIVERSE_OP_CAP",
     "ExperimentConfig",
     "ExperimentReport",
@@ -55,6 +56,7 @@ UNIVERSE_CHECK_CAP = 12
 ORTHOGONALITY_SAMPLE_CAP = 2**31  # wave samples, 2 * pairs * sum(K)
 READOUT_HASH_CAP = 2**29  # blake2b calls, sum of trials * (1 + 2N * (1 + ceil(K/512)))
 READOUT_TRIAL_BLOCK_CAP = 2**18  # 64-byte stream blocks one trial holds, max of 2N * ceil(K/512)
+READOUT_BITS_CAP = 128  # N, which bounds each trial's elimination
 UNIVERSE_OP_CAP = 2**27  # oracle operations, K * sum((N + 1) * 2^N)
 
 @dataclass(frozen=True)
@@ -161,9 +163,9 @@ def _report(config: ExperimentConfig, columns: list[str], records: list[dict],
 
 
 def _bit_correlation(a: int, b: int, clocks: int) -> float:
-    """``time_average_product`` of the waves whose first *clocks* bits are *a*
-    and *b*: a product sample is +1 where the bits agree and -1 where they
-    differ, so the sum is K - 2*popcount(a ^ b), divided by K as an int."""
+    """``time_average_product`` of the *clocks*-sample waves whose rows are
+    *a* and *b*: the product's row a ^ b marks its -1 samples, so the sum is
+    K - 2*popcount(a ^ b), divided by K as an int."""
     return (clocks - 2 * (a ^ b).bit_count()) / clocks
 
 
@@ -173,7 +175,7 @@ def run_orthogonality(config: ExperimentConfig) -> ExperimentReport:
     For each clock count K: median and max |time-average product| over
     *trials* independent wave pairs, next to the 4/sqrt(K) reference bound
     and an identical-wave self check (always exactly 1.0).  Each pair is
-    correlated from its stream bits (the waves of ``generate_rtw``).
+    correlated from its two rows (the waves of ``generate_rtw``).
     """
     started = time.perf_counter()
     if not config.clocks:
@@ -221,15 +223,12 @@ def run_universe_check(config: ExperimentConfig) -> ExperimentReport:
     # The expanded-sum oracle's 2^N accumulations and N*2^N multiplications per clock.
     _refuse_over_cap("universe check: oracle operations K*sum((N+1)*2^N)",
                      clocks * sum((n + 1) << n for n in config.bits), UNIVERSE_OP_CAP)
-    ones = (1 << clocks) - 1
     records = []
     for n_bits in sorted(config.bits):
-        # Both paths count the -1 terms per clock on the same sign rows; the
+        # Both paths count the -1 terms per clock on the same rows; the
         # value 2^N - 2 * count is what synthesize_universe and
-        # realize_superposition(expand_universe(N)) give on the waves.  A
-        # sample is -1 where its stream bit is 0, so a sign row is the
-        # complement of its bit row.
-        rows = [ones ^ row for row in _bit_rows(config.master_seed, n_bits, clocks)]
+        # realize_superposition(expand_universe(N)) give on the waves.
+        rows = _reference_rows(config.master_seed, n_bits, clocks)
         equal = _universe_sign_planes(rows, n_bits) == _expanded_sign_planes(rows, n_bits)
         # Per clock, the product form adds L_r + H_r for each of the N bits
         # and multiplies the N sums together (N - 1 products); the expanded
@@ -255,15 +254,6 @@ def run_universe_check(config: ExperimentConfig) -> ExperimentReport:
     return _report(config, columns, records, summary, started)
 
 
-def _ref_rate(n_bits: int, clocks: int) -> float:
-    """2^(N-K) as a float; a grid point where it overflows is refused."""
-    try:
-        return 2.0 ** (n_bits - clocks)
-    except OverflowError:
-        raise ValueError(f"readout scaling: reference rate 2^(N-K) at N={n_bits}, K={clocks} "
-                         f"is not a finite float") from None
-
-
 def run_readout_scaling(config: ExperimentConfig) -> ExperimentReport:
     """Monte Carlo failure rate of the fast readout over an (N, K) grid.
 
@@ -279,25 +269,26 @@ def run_readout_scaling(config: ExperimentConfig) -> ExperimentReport:
     _refuse_over_cap(f"readout scaling: blake2b calls sum(trials*(1+2N*(1+ceil(K/{_BLOCK_BITS}))))",
                      sum(config.trials * (1 + 2 * n * (1 + -(-k // _BLOCK_BITS)))
                          for n in config.bits for k in config.clocks), READOUT_HASH_CAP)
-    # A trial reads all 2N of its streams in one _bit_rows call, so the
+    # A trial reads all 2N of its streams in one _reference_rows call, so the
     # largest grid point bounds the memory of a run.
     _refuse_over_cap(f"readout scaling: stream blocks per trial max(2N*ceil(K/{_BLOCK_BITS}))",
                      max(2 * n * -(-k // _BLOCK_BITS) for n in config.bits for k in config.clocks),
                      READOUT_TRIAL_BLOCK_CAP)
-    grid = [(n_bits, clocks, _ref_rate(n_bits, clocks))
-            for n_bits in sorted(config.bits) for clocks in sorted(config.clocks)]
+    # N bounds elimination, and keeps ref_rate = 2^(N-K) a finite float.
+    _refuse_over_cap("readout scaling: bit count max(N)", max(config.bits), READOUT_BITS_CAP)
     records = []
-    for n_bits, clocks, ref_rate in grid:
-        failures = count_failures(n_bits, clocks, config.trials, config.master_seed)
-        records.append({
-            "N": n_bits,
-            "K": clocks,
-            "trials": config.trials,
-            "failures": failures,
-            "rate": failures / config.trials,
-            "master_seed": config.master_seed,
-            "ref_rate": ref_rate,
-        })
+    for n_bits in sorted(config.bits):
+        for clocks in sorted(config.clocks):
+            failures = count_failures(n_bits, clocks, config.trials, config.master_seed)
+            records.append({
+                "N": n_bits,
+                "K": clocks,
+                "trials": config.trials,
+                "failures": failures,
+                "rate": failures / config.trials,
+                "master_seed": config.master_seed,
+                "ref_rate": 2.0 ** (n_bits - clocks),
+            })
     columns = ["N", "K", "trials", "failures", "rate", "master_seed"]
     return _report(config, columns, records, {"grid_points": len(records)}, started)
 

@@ -24,8 +24,8 @@ from typing import Iterable, Iterator, Union
 from ._numpy import np
 from .hyperspace import PRODUCT_STRING_CAP, ProductString, _enumeration_bits, realize_product
 from .rtw import (ClockedWave, IntegerWave, ReferenceSystem, SeedSpec, _all_bipolar,
-                  _bit_rows, _derive_keys, _encode_path, _encode_path_element, _index,
-                  make_reference_system)
+                  _derive_keys, _encode_path, _encode_path_element, _index, _reference_rows,
+                  _sign_rows, make_reference_system)
 
 __all__ = [
     "ReadoutResult",
@@ -162,13 +162,6 @@ class Gf2System:
             yield sol
 
 
-def _pack_rows(bits: np.ndarray) -> list[int]:
-    """Each row of an (N, K) 0/1 table as one K-bit int."""
-    packed = np.packbits(bits, axis=1)
-    data, width = packed.tobytes(), packed.shape[1]
-    return [int.from_bytes(data[i * width:(i + 1) * width], "big") for i in range(len(packed))]
-
-
 class _Gf2Basis:
     """Echelon basis over GF(2) of the span of N int vectors.
 
@@ -278,9 +271,9 @@ def gf2_fast_readout(wave: AnyWave, refsys: ReferenceSystem,
     n_bits = refsys.n_bits
     if samples is None:
         return ReadoutResult.from_survivors(())
-    # Sign bits as K-bit ints: l_1..l_N, h_1..h_N, then w.  The K equations
-    # are one vector equation, sum_r c_r a_r = w xor l_1 xor ... xor l_N.
-    signs = _pack_rows(np.vstack((refsys.samples.reshape(2 * n_bits, refsys.clocks), samples)) == -1)
+    # Sign rows l_1..l_N, h_1..h_N, then w.  The K equations are one vector
+    # equation, sum_r c_r a_r = w xor l_1 xor ... xor l_N.
+    signs = _sign_rows(np.vstack((refsys.samples.reshape(2 * n_bits, refsys.clocks), samples)))
     low, high, rhs = signs[:n_bits], signs[n_bits:-1], signs[-1]
     for row in low:
         rhs ^= row
@@ -341,7 +334,7 @@ def count_failures(n_bits: int, clocks: int, trials: int, master_seed: int) -> i
                               _index(trials, "trials", 1))
     failures = 0
     for trial_seed in _trial_seeds(master_seed, range(trials)):
-        rows = _bit_rows(trial_seed, n_bits, clocks)  # L_1..L_N, then H_1..H_N
+        rows = _reference_rows(trial_seed, n_bits, clocks)  # L_1..L_N, then H_1..H_N
         failures += _Gf2Basis(map(operator.xor, rows[:n_bits], rows[n_bits:])).rank < n_bits
     return failures
 

@@ -124,8 +124,6 @@ class SeedSpec:
     def bits(self, count: int) -> np.ndarray:
         """First *count* bits of the substream as a uint8 0/1 array."""
         count = _index(count, "count", 0)
-        if count == 0:
-            return np.zeros(0, dtype=np.uint8)
         buf = _stream_bytes((self.stream_key(),), -(-count // _BLOCK_BITS))
         return np.unpackbits(np.frombuffer(buf, dtype=np.uint8))[:count]
 
@@ -140,18 +138,32 @@ def _stream_bytes(keys: Sequence[bytes], n_blocks: int) -> bytes:
                     for key in keys for counter in counters)
 
 
-def _stream_rows(keys: Sequence[bytes], clocks: int) -> list[int]:
-    """Each key's first *clocks* stream bits (the bits of ``SeedSpec.bits``)
-    as one int, clock 1 most significant, all cut from one
-    :func:`_stream_bytes` call.  The count is taken as already checked."""
-    if not clocks:  # no blocks, so no stride to step by
-        return [0] * len(keys)
-    n_blocks = -(-clocks // _BLOCK_BITS)
-    streams = _stream_bytes(keys, n_blocks)
+def _cut_rows(data: bytes, count: int, stride: int, clocks: int) -> list[int]:
+    """The rows of *count* waves from records *stride* bytes apart in *data*,
+    each record's bits set where a sample is +1, as in a stream.
+
+    A row is a K-bit int with clock 1 as its most significant bit and a bit
+    set where the sample is -1, so the row of a product of waves is the XOR
+    of their rows.  Every int path reads rows in this one format."""
     width = -(-clocks // 8)
     pad = 8 * width - clocks
-    return [int.from_bytes(streams[i:i + width], "big") >> pad
-            for i in range(0, len(streams), n_blocks * _BLOCK_BYTES)]
+    ones = (1 << 8 * width) - 1
+    return [(ones ^ int.from_bytes(data[j * stride:j * stride + width], "big")) >> pad
+            for j in range(count)]
+
+
+def _stream_rows(keys: Sequence[bytes], clocks: int) -> list[int]:
+    """The row of each key's first *clocks* stream samples (the waves of
+    ``generate_rtw``), all cut from one :func:`_stream_bytes` call.  The
+    count is taken as already checked."""
+    n_blocks = -(-clocks // _BLOCK_BITS)
+    return _cut_rows(_stream_bytes(keys, n_blocks), len(keys), n_blocks * _BLOCK_BYTES, clocks)
+
+
+def _sign_rows(samples: np.ndarray) -> list[int]:
+    """The row of each line of an (R, K) array of ±1 samples."""
+    packed = np.packbits(samples == 1, axis=1)
+    return _cut_rows(packed.tobytes(), len(packed), packed.shape[1], samples.shape[1])
 
 
 def _encode_path(path: Iterable[PathElement]) -> bytes:
@@ -324,23 +336,26 @@ def _bit_suffixes(n_bits: int) -> tuple[bytes, ...]:
     return tuple(_encode_path((r, half)) for half in "LH" for r in range(1, n_bits + 1))
 
 
+def _reference_keys(master_seed: int, n_bits: int) -> list[bytes]:
+    """The stream keys of L_1..L_N, then H_1..H_N."""
+    return list(_derive_keys(master_seed, _BIT_PREFIX, _bit_suffixes(n_bits)))
+
+
 def make_reference_system(master_seed: int, n_bits: int, clocks: int) -> ReferenceSystem:
     """Build the 2N reference waves from distinct substreams of one seed:
     L_r is the stream at path ("bit", r, "L") and H_r at ("bit", r, "H")."""
     n_bits, clocks = _index(n_bits, "n_bits", 0), _index(clocks, "clocks", 0)
-    keys = list(_derive_keys(master_seed, _BIT_PREFIX, _bit_suffixes(n_bits)))
+    keys = _reference_keys(master_seed, n_bits)
     n_blocks = -(-clocks // _BLOCK_BITS)
     bits = np.unpackbits(np.frombuffer(_stream_bytes(keys, n_blocks), dtype=np.uint8))
     bits = bits.reshape(2, n_bits, n_blocks * _BLOCK_BITS)[..., :clocks].view(np.int8)
     return ReferenceSystem._wrap(2 * bits - 1)
 
 
-def _bit_rows(master_seed: int, n_bits: int, clocks: int) -> list[int]:
-    """The 2N waves of ``make_reference_system(master_seed, n_bits, clocks)``,
-    L_1..L_N then H_1..H_N, as the stream rows of :func:`_stream_rows`: a
-    row's bit is set at each clock where its wave's sample is +1."""
-    return _stream_rows(list(_derive_keys(master_seed, _BIT_PREFIX, _bit_suffixes(n_bits))),
-                        clocks)
+def _reference_rows(master_seed: int, n_bits: int, clocks: int) -> list[int]:
+    """The rows of the 2N waves of ``make_reference_system(master_seed,
+    n_bits, clocks)``, L_1..L_N then H_1..H_N."""
+    return _stream_rows(_reference_keys(master_seed, n_bits), clocks)
 
 
 def multiply(a: ClockedWave, b: ClockedWave) -> ClockedWave:

@@ -185,9 +185,11 @@ class TestExitCodes:
         assert out == ""
         assert reason in err
 
+    # 2^(N-K) overflows a float at N - K >= 1024; READOUT_BITS_CAP refuses N first.
     @pytest.mark.parametrize("argv,reason", [
-        (["--bits", "1100", "--clocks", "0"], "N=1100, K=0"),
-        (["--bits-range", "6,1100", "--clocks-range", "8,76"], "N=1100, K=8"),
+        (["--bits", "1100", "--clocks", "0"], "bit count max(N) = 1100 exceeds cap 128"),
+        (["--bits-range", "6,1100", "--clocks-range", "8,76"],
+         "bit count max(N) = 1100 exceeds cap 128"),
     ])
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_ref_rate_beyond_float_range_exits_2_before_any_hashing(self, argv, reason, fmt,
@@ -197,7 +199,7 @@ class TestExitCodes:
                                  capsys)
         assert code == 2
         assert out == ""
-        assert f"reference rate 2^(N-K) at {reason} is not a finite float" in err
+        assert f"readout scaling: {reason}\n" in err
         assert "Traceback" not in err
 
     def test_unknown_flag_exits_2(self, capsys):
@@ -311,13 +313,16 @@ COMMITTED_READOUT_BLOCKS = [
       "--trials", "100000"], 2 * 10),
 ]
 
+# The committed readout-scaling configs again, with their largest N.
+COMMITTED_READOUT_BITS = [(argv, blocks // 2) for argv, blocks in COMMITTED_READOUT_BLOCKS]
+
 
 class TestCostCaps:
     @pytest.fixture(autouse=True)
     def _forbid_work(self, monkeypatch):
         # Every test here must be decided by the cap check alone.
         monkeypatch.delenv(SEED_ENV_VAR, raising=False)
-        for name in ("_stream_rows", "_bit_rows", "count_failures"):
+        for name in ("_stream_rows", "_reference_rows", "count_failures"):
             monkeypatch.setattr(experiments, name, _no_work)
 
     @staticmethod
@@ -342,14 +347,22 @@ class TestCostCaps:
                                                                        monkeypatch):
         self._sits_8x_under(argv, "READOUT_TRIAL_BLOCK_CAP", estimate, monkeypatch)
 
+    @pytest.mark.parametrize("argv,estimate", COMMITTED_READOUT_BITS,
+                             ids=[" ".join(argv) for argv, _ in COMMITTED_READOUT_BITS])
+    def test_committed_readout_configs_sit_8x_under_the_bits_cap(self, argv, estimate,
+                                                                monkeypatch):
+        self._sits_8x_under(argv, "READOUT_BITS_CAP", estimate, monkeypatch)
+
     @pytest.mark.parametrize("argv,cap", [
         (["orthogonality", "--clocks", str(2**30), "--trials", "1"], "ORTHOGONALITY_SAMPLE_CAP"),
         (["universe-check", "--bits", "0", "--clocks", str(2**27)], "UNIVERSE_OP_CAP"),
         (["universe-check", "--bits", "3", "--clocks", str(2**22)], "UNIVERSE_OP_CAP"),
         (["readout-scaling", "--bits", "0", "--clocks", "0", "--trials", str(2**29)],
          "READOUT_HASH_CAP"),
-        (["readout-scaling", "--bits", "256", "--clocks", str(2**18), "--trials", "1"],
+        (["readout-scaling", "--bits", "128", "--clocks", str(2**19), "--trials", "1"],
          "READOUT_TRIAL_BLOCK_CAP"),
+        (["readout-scaling", "--bits-range", "0,128", "--clocks", "8", "--trials", "1"],
+         "READOUT_BITS_CAP"),
     ])
     def test_a_config_at_its_cap_passes_the_check(self, argv, cap):
         config = _config(argv)
@@ -370,10 +383,16 @@ class TestCostCaps:
          f"= {7 * 10**9} exceeds cap {2**29}"),
         (["readout-scaling", "--bits", "0", "--clocks", "0", "--trials", str(2**29 + 1)],
          f"= {2**29 + 1} exceeds cap {2**29}"),
-        # Within the hash cap and the ref_rate check, but one trial would
-        # hold 2 * 262144 * 511 blocks (about 17 GB) of stream.
+        # Within the hash cap, but one trial would hold 2 * 262144 * 511
+        # blocks (about 17 GB) of stream.
         (["readout-scaling", "--bits", "262144", "--clocks", "261200", "--trials", "1"],
          f"stream blocks per trial max(2N*ceil(K/512)) = {2 * 262144 * 511} exceeds cap {2**18}"),
+        (["readout-scaling", "--bits", "129", "--clocks", "0", "--trials", "1"],
+         "bit count max(N) = 129 exceeds cap 128"),
+        # Within the hash and block caps, but about 5 s of elimination per
+        # trial: hours in all.
+        (["readout-scaling", "--bits", "8192", "--clocks", "8192", "--trials", "1927"],
+         "bit count max(N) = 8192 exceeds cap 128"),
     ])
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_over_cap_config_exits_2_naming_the_cap(self, argv, reason, fmt, capsys):
@@ -396,27 +415,32 @@ sys.exit(main(sys.argv[1:]))
 
 
 class TestFarEndsOfTheCaps:
-    @pytest.mark.parametrize("argv,code", [
+    @pytest.mark.parametrize("argv,code,reason", [
         # universe-check at UNIVERSE_OP_CAP along each axis
-        (["universe-check", "--bits", "0", "--clocks", str(2**27)], 0),
-        (["universe-check", "--bits", "1", "--clocks", str(2**25)], 0),
-        (["universe-check", "--bits", "12", "--clocks", "2520"], 0),
+        (["universe-check", "--bits", "0", "--clocks", str(2**27)], 0, ""),
+        (["universe-check", "--bits", "1", "--clocks", str(2**25)], 0, ""),
+        (["universe-check", "--bits", "12", "--clocks", "2520"], 0, ""),
         # orthogonality at ORTHOGONALITY_SAMPLE_CAP: one pair of 2^30-clock
         # streams, read one stream at a time
-        (["orthogonality", "--clocks", str(2**30), "--trials", "1"], 0),
-        # readout-scaling at READOUT_TRIAL_BLOCK_CAP: the largest N it admits
-        # at K = 8192 (N = 8193 is refused)
-        (["readout-scaling", "--bits", "8192", "--clocks", "8192", "--trials", "1"], 0),
+        (["orthogonality", "--clocks", str(2**30), "--trials", "1"], 0, ""),
+        # readout-scaling at READOUT_BITS_CAP and READOUT_TRIAL_BLOCK_CAP
+        # (2N * ceil(K/512) = 2^18 blocks)
+        (["readout-scaling", "--bits", "128", "--clocks", str(2**19), "--trials", "1"], 0, ""),
+        (["readout-scaling", "--bits", "129", "--clocks", "0", "--trials", "1"], 2,
+         "exceeds cap 128"),
+        # within READOUT_HASH_CAP and READOUT_TRIAL_BLOCK_CAP, refused by READOUT_BITS_CAP
+        (["readout-scaling", "--bits", "8192", "--clocks", "8192", "--trials", "1927"], 2,
+         "exceeds cap 128"),
         # within READOUT_HASH_CAP, refused by READOUT_TRIAL_BLOCK_CAP
-        (["readout-scaling", "--bits", "262144", "--clocks", "261200", "--trials", "1"], 2),
+        (["readout-scaling", "--bits", "262144", "--clocks", "261200", "--trials", "1"], 2,
+         "exceeds cap 262144"),
     ], ids=lambda value: " ".join(value) if isinstance(value, list) else None)
-    def test_runs_in_1_gib_without_a_traceback(self, argv, code):
+    def test_runs_in_1_gib_without_a_traceback(self, argv, code, reason):
         child = subprocess.run([sys.executable, "-c", RLIMITED_CHILD, *argv],
                                capture_output=True, text=True, timeout=120)
         assert child.returncode == code, child.stderr
         assert "Traceback" not in child.stderr
-        if code == 2:
-            assert "exceeds cap 262144" in child.stderr
+        assert reason in child.stderr
 
 
 def _grid_flag(name, counts):

@@ -27,7 +27,7 @@ from nbl_lab import (
     run_universe_check,
     synthesize_universe,
 )
-from nbl_lab.readout import _pack_rows
+from nbl_lab.rtw import _sign_rows
 
 SEED = 0xD1CEBA5E
 
@@ -350,14 +350,6 @@ class TestSynthesizeUniverse:
         assert np.array_equal(np.concatenate(pieces), whole.samples)
 
 
-def sign_rows(system):
-    """The 2N rows of samples == -1, L_1..L_N then H_1..H_N, each one K-bit
-    int with clock 1 most significant."""
-    pad = 8 * -(-system.clocks // 8) - system.clocks
-    signs = system.samples.reshape(2 * system.n_bits, system.clocks) == -1
-    return [row >> pad for row in _pack_rows(signs)]
-
-
 def plane_values(planes, n_bits, clocks):
     """Per clock, 2^N - 2 * count, with the count read from its bit planes."""
     width = -(-clocks // 8)
@@ -378,7 +370,7 @@ class TestSignPlanes:
     @settings(max_examples=60, deadline=None)
     def test_plane_values_are_the_universe_waves(self, n_bits, clocks, master_seed):
         system = make_reference_system(master_seed, n_bits, clocks)
-        rows = sign_rows(system)
+        rows = _sign_rows(system.samples.reshape(2 * n_bits, clocks))
         product = hyperspace._universe_sign_planes(rows, n_bits)
         expanded = hyperspace._expanded_sign_planes(rows, n_bits)
         assert len(product) == len(expanded) == n_bits + 1

@@ -4,6 +4,7 @@ API; and the README's library example."""
 
 import json
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -15,7 +16,7 @@ from nbl_lab import (ExperimentConfig, Gf2System, ProductString, SeedSpec, Sinus
                      Superposition, count_failures, experiments, generate_rtw, hyperspace,
                      make_reference_system, readout, realize_sinus_product, rtw, sinus,
                      stacho_clock_bound, timeshifted_readout_steps)
-from nbl_lab.cli import build_parser, config_from_args
+from nbl_lab.cli import SEED_ENV_VAR, build_parser, config_from_args, main
 
 MODULES = (experiments, hyperspace, readout, rtw, sinus)
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -79,6 +80,27 @@ def test_readme_library_example_runs():
     block = re.search(r"```python\n(.*?)```", section, re.DOTALL)
     assert block is not None, "README has no python block under 'Library use'"
     exec(compile(block.group(1), str(README), "exec"), {})
+
+
+def test_readme_cli_examples_exit_0(tmp_path, monkeypatch, capsys):
+    section = README.read_text(encoding="utf-8").split("\nExamples:\n", 1)[1]
+    block = re.search(r"```sh\n(.*?)```", section, re.DOTALL)
+    assert block is not None, "README has no sh block under 'Examples:'"
+    lines = block.group(1).splitlines()
+    assert lines and all(line.startswith("nbl-lab ") for line in lines), lines
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+    for line in lines:
+        assert main(shlex.split(line)[1:]) == 0, line
+        assert capsys.readouterr().err == ""
+    assert (tmp_path / "universe.csv").read_text(encoding="utf-8").startswith("N,K,equal,")
+
+
+def test_every_cap_is_exported_and_listed_in_the_readme():
+    exported = {name for name in nbl_lab.__all__ if name.endswith("_CAP")}
+    listed = README.read_text(encoding="utf-8").split("Every cap can be imported", 1)[1]
+    listed = set(re.findall(r"`(\w+_CAP)`", listed.split("\n- ", 1)[0]))
+    assert exported == listed
 
 
 # The golden configs of the five experiments, none of which uses an array.

@@ -23,8 +23,8 @@ from nbl_lab import (
     save_wave_file,
     time_average_product,
 )
-from nbl_lab.readout import _pack_rows
-from nbl_lab.rtw import _bit_rows, _derive_keys, _encode_path, _stream_bytes
+from nbl_lab.rtw import (_derive_keys, _encode_path, _reference_rows, _sign_rows, _stream_bytes,
+                         _stream_rows)
 
 SEED = 0xD1CEBA5E
 
@@ -453,12 +453,11 @@ class TestReferenceSystem:
     @example(2, SEED, 1024)
     @example(2, SEED, 1025)
     @settings(max_examples=100, deadline=None)
-    def test_bit_row_halves_xor_to_the_packed_differences(self, n_bits, master_seed, clocks):
+    def test_reference_row_halves_xor_to_the_rows_of_the_products(self, n_bits, master_seed,
+                                                                  clocks):
         low, high = make_reference_system(master_seed, n_bits, clocks).samples
-        pad = 8 * -(-clocks // 8) - clocks
-        rows = _bit_rows(master_seed, n_bits, clocks)
-        assert [l ^ h for l, h in zip(rows[:n_bits], rows[n_bits:])] == [
-            row >> pad for row in _pack_rows(low != high)]
+        rows = _reference_rows(master_seed, n_bits, clocks)
+        assert [l ^ h for l, h in zip(rows[:n_bits], rows[n_bits:])] == _sign_rows(low * high)
 
     # K = 0, K % 8 != 0, and the 512-clock block edges.
     @given(st.integers(0, 12), st.integers(0, 2**64 - 1),
@@ -470,13 +469,36 @@ class TestReferenceSystem:
     @example(3, SEED, 513)
     @example(2, SEED, 1030)
     @settings(max_examples=100, deadline=None)
-    def test_bit_row_complements_are_the_packed_minus_one_samples(self, n_bits, master_seed,
-                                                                  clocks):
+    def test_reference_rows_are_the_rows_of_the_samples(self, n_bits, master_seed, clocks):
         samples = make_reference_system(master_seed, n_bits, clocks).samples
-        pad = 8 * -(-clocks // 8) - clocks
-        expected = [row >> pad for row in _pack_rows(samples.reshape(2 * n_bits, clocks) == -1)]
-        ones = (1 << clocks) - 1
-        assert [ones ^ row for row in _bit_rows(master_seed, n_bits, clocks)] == expected
+        assert _reference_rows(master_seed, n_bits, clocks) == _sign_rows(
+            samples.reshape(2 * n_bits, clocks))
+
+
+class TestRows:
+    # K = 0, K % 8 != 0, and the 512-clock block edges.
+    @given(st.integers(0, 2**64 - 1), st.one_of(
+        st.sampled_from([0, 1, 7, 8, 9, 511, 512, 513]), st.integers(0, 1100)))
+    @example(SEED, 0)
+    @example(SEED, 1)
+    @example(SEED, 7)
+    @example(SEED, 8)
+    @example(SEED, 9)
+    @example(SEED, 511)
+    @example(SEED, 512)
+    @example(SEED, 513)
+    @settings(max_examples=100, deadline=None)
+    def test_the_row_of_a_product_is_the_xor_of_the_rows(self, master_seed, clocks):
+        a, b = (SeedSpec(master_seed, ("row", side)) for side in (0, 1))
+        wave_a, wave_b = generate_rtw(a, clocks), generate_rtw(b, clocks)
+        (row_a,), (row_b,) = _sign_rows(wave_a.samples[None]), _sign_rows(wave_b.samples[None])
+        assert _sign_rows((wave_a.samples * wave_b.samples)[None]) == [row_a ^ row_b]
+        assert _stream_rows([a.stream_key()], clocks) == [row_a]
+        assert row_a < 1 << clocks
+
+    def test_clock_1_is_the_most_significant_bit(self):
+        assert _sign_rows(np.array([[-1, 1, 1], [1, 1, -1], [1, 1, 1]])) == [0b100, 0b001, 0]
+        assert _sign_rows(np.zeros((2, 0), dtype=np.int8)) == [0, 0]
 
 
 class TestWaveFiles:
