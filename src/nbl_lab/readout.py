@@ -162,49 +162,30 @@ class Gf2System:
             yield sol
 
 
-class _Gf2Basis:
-    """Echelon basis over GF(2) of the span of N int vectors.
+def _null_tags(vectors: Iterable[int]) -> list[int]:
+    """Insert int vectors in order into an echelon basis over GF(2) and
+    return the tag of each vector that reduces to zero.
 
-    Vector r-1 stands for the variable c_r.  Each basis vector is keyed by
-    its leading bit (``bit_length()``) and carries a tag, the mask of input
-    vectors whose XOR it is.  An input that reduces to zero leaves its tag
-    as a null vector: a nonzero c with sum_r c_r v_r = 0.
+    Each basis vector is keyed by its leading bit (``bit_length()``) and
+    carries a tag, the mask of input vectors whose XOR it is; vector i
+    starts with the tag 1 << i.  A vector that reduces to zero leaves a
+    null tag: a nonzero mask c with XOR_{j in c} v_j = 0, whose top bit is
+    i.  The null tags span every such mask, one per unit of rank deficit.
     """
-
-    __slots__ = ("pivots", "null_tags")
-
-    def __init__(self, vectors: Iterable[int]):
-        pivots: dict[int, tuple[int, int]] = {}
-        null_tags: list[int] = []
-        for i, vector in enumerate(vectors):
-            tag = 1 << i
-            while vector:
-                hit = pivots.get(vector.bit_length())
-                if hit is None:
-                    pivots[vector.bit_length()] = (vector, tag)
-                    break
-                vector ^= hit[0]
-                tag ^= hit[1]
-            else:
-                null_tags.append(tag)
-        self.pivots = pivots
-        self.null_tags = null_tags
-
-    @property
-    def rank(self) -> int:
-        return len(self.pivots)
-
-    def solve(self, target: int) -> int | None:
-        """A mask c with sum_r c_r v_r = target, or None when target is
-        outside the span."""
-        solution = 0
-        while target:
-            hit = self.pivots.get(target.bit_length())
+    pivots: dict[int, tuple[int, int]] = {}
+    null_tags: list[int] = []
+    for i, vector in enumerate(vectors):
+        tag = 1 << i
+        while vector:
+            hit = pivots.get(vector.bit_length())
             if hit is None:
-                return None
-            target ^= hit[0]
-            solution ^= hit[1]
-        return solution
+                pivots[vector.bit_length()] = (vector, tag)
+                break
+            vector ^= hit[0]
+            tag ^= hit[1]
+        else:
+            null_tags.append(tag)
+    return null_tags
 
 
 def _bipolar_samples(wave: AnyWave, refsys: ReferenceSystem) -> np.ndarray | None:
@@ -277,15 +258,18 @@ def gf2_fast_readout(wave: AnyWave, refsys: ReferenceSystem,
     low, high, rhs = signs[:n_bits], signs[n_bits:-1], signs[-1]
     for row in low:
         rhs ^= row
-    basis = _Gf2Basis(l ^ h for l, h in zip(low, high))
-    solution = basis.solve(rhs)
-    if solution is None:
+    # The right-hand side goes in as vector N after a_1..a_N: it lies in
+    # their span exactly when it leaves the last null tag, the one with bit
+    # N set, and that tag with bit N cleared is a solution.
+    null_tags = _null_tags([*map(operator.xor, low, high), rhs])
+    if not null_tags or not null_tags[-1] >> n_bits:
         return ReadoutResult.from_survivors(())
-    deficit = len(basis.null_tags)
+    solution = null_tags.pop() ^ (1 << n_bits)
+    deficit = len(null_tags)
     if deficit > max_enumerated_deficit:
         return ReadoutResult(None, 1 << deficit)
     solutions = [solution]
-    for tag in basis.null_tags:
+    for tag in null_tags:
         solutions += [m ^ tag for m in solutions]
     return ReadoutResult.from_survivors(ProductString(n_bits, m) for m in solutions)
 
@@ -335,7 +319,7 @@ def count_failures(n_bits: int, clocks: int, trials: int, master_seed: int) -> i
     failures = 0
     for trial_seed in _trial_seeds(master_seed, range(trials)):
         rows = _reference_rows(trial_seed, n_bits, clocks)  # L_1..L_N, then H_1..H_N
-        failures += _Gf2Basis(map(operator.xor, rows[:n_bits], rows[n_bits:])).rank < n_bits
+        failures += bool(_null_tags(map(operator.xor, rows[:n_bits], rows[n_bits:])))
     return failures
 
 

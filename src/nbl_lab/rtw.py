@@ -69,17 +69,28 @@ def _master_seed(value) -> int:
     return value
 
 
+def _path_element(element) -> PathElement:
+    """*element* as stored in a path: a str as it is, or an int under the
+    integer rule (numpy integers included) in the signed 64-bit range."""
+    if type(element) is not int:  # plain ints skip the conversion
+        if isinstance(element, str):
+            return element
+        try:
+            element = _index(element, "path element")  # refuses bool
+        except TypeError:
+            raise TypeError(f"path elements must be int or str, "
+                            f"got {type(element).__name__}") from None
+    if not -2**63 <= element < 2**63:
+        raise ValueError(f"int path element {element} is outside the signed 64-bit range")
+    return element
+
+
 def _encode_path_element(element: PathElement) -> bytes:
-    if isinstance(element, bool):  # bool is an int subclass; reject explicitly
-        raise TypeError("path elements must be int or str, not bool")
-    if isinstance(element, int):
-        if not -2**63 <= element < 2**63:
-            raise ValueError(f"int path element {element} is outside the signed 64-bit range")
+    element = _path_element(element)
+    if type(element) is int:
         return b"i" + element.to_bytes(8, "big", signed=True)
-    if isinstance(element, str):
-        raw = element.encode("utf-8")
-        return b"s" + len(raw).to_bytes(4, "big") + raw
-    raise TypeError(f"path elements must be int or str, got {type(element).__name__}")
+    raw = element.encode("utf-8")
+    return b"s" + len(raw).to_bytes(4, "big") + raw
 
 
 @dataclass(frozen=True)
@@ -99,9 +110,7 @@ class SeedSpec:
         object.__setattr__(self, "master_seed", _master_seed(self.master_seed))
         if isinstance(self.path, (str, bytes)):  # tuple() would split it into characters
             raise TypeError(f"path must be a tuple of elements, got {self.path!r}")
-        object.__setattr__(self, "path", tuple(self.path))
-        for element in self.path:
-            _encode_path_element(element)
+        object.__setattr__(self, "path", tuple(map(_path_element, self.path)))
 
     def child(self, *elements: PathElement) -> "SeedSpec":
         """Extend the derivation path."""
@@ -190,11 +199,14 @@ def _all_bipolar(samples: np.ndarray) -> bool:
 
 
 def _frozen_bipolar(raw: np.ndarray, what: str) -> np.ndarray:
-    """*raw* as a read-only int8 copy, refusing any value other than ±1
-    before the narrowing cast (int8 would wrap 255 to -1)."""
+    """*raw* as a read-only int8 copy, refusing bool, float and complex
+    samples (unless there are none) as ``IntegerWave`` does, then any value
+    other than ±1 before the narrowing cast (int8 would wrap 255 to -1)."""
+    if raw.size and raw.dtype.kind in "bfc":
+        raise ValueError(f"samples must be integers, got dtype {raw.dtype}")
     if not _all_bipolar(raw):
         raise ValueError(f"every {what} sample must be -1 or +1")
-    arr = raw.astype(np.int8)
+    arr = raw.astype(np.int8) if raw.size else np.zeros(raw.shape, np.int8)
     arr.setflags(write=False)
     return arr
 

@@ -216,6 +216,10 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main(["bounds-table", "--bits-range", "2,x"])
         assert exc.value.code == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["bounds-table", "--epsilon", "0,x"])
+        assert exc.value.code == 2
+        assert "expected comma-separated numbers, got '0,x'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag", ["--bits", "--clocks"])
     def test_non_integer_count_exits_2(self, flag, capsys):

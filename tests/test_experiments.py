@@ -294,6 +294,17 @@ class TestUniverseCheck:
         golden("universe_check.csv", run_universe_check(config).to_csv())
 
 
+@pytest.mark.parametrize("run,grid,reason", [
+    (run_readout_scaling, {"clocks": (8,)}, "readout scaling requires bit and clock counts"),
+    (run_readout_scaling, {"bits": (4,)}, "readout scaling requires bit and clock counts"),
+    (run_sinus_comparison, {}, "sinus comparison requires at least one bit count"),
+    (run_bounds_table, {}, "bounds table requires at least one bit count"),
+], ids=["readout-no-bits", "readout-no-clocks", "sinus-no-bits", "bounds-no-bits"])
+def test_an_empty_grid_is_refused(run, grid, reason):
+    with pytest.raises(ValueError, match=f"^{reason}$"):
+        run(ExperimentConfig("x", trials=1, **grid))
+
+
 class TestReadoutScaling:
     def test_zero_clock_row_rate_is_one(self):
         config = ExperimentConfig("readout-scaling", bits=(4,), clocks=(0,), trials=20,

@@ -333,6 +333,12 @@ class TestPlantTrial:
         assert wave_a != wave_b  # independent reference systems
         assert ps_a != ps_b or wave_a != wave_b
 
+    def test_numpy_trial_index_is_accepted(self):
+        system, planted, wave = plant_trial(1, np.int64(2), 3, 8)
+        expected_system, expected_planted, expected_wave = plant_trial(1, 2, 3, 8)
+        assert (planted, wave) == (expected_planted, expected_wave)
+        assert np.array_equal(system.samples, expected_system.samples)
+
     def test_planted_always_survives(self):
         for trial in range(25):
             system, planted, wave = plant_trial(SEED, trial, 5, 10)
@@ -451,3 +457,5 @@ class TestBoundCalculators:
             timeshifted_readout_steps(4, 8.0)
         with pytest.raises(ValueError, match="N=4, P=5e-324"):
             timeshifted_readout_steps(4, 5e-324)
+        with pytest.raises(ValueError, match="is not a finite float"):
+            timeshifted_readout_steps(10**400, 0.5)  # N/P overflows a float

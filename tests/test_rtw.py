@@ -76,6 +76,12 @@ class TestSeedSpec:
         with pytest.raises(TypeError, match="path must be a tuple"):
             SeedSpec(5, path)
 
+    def test_numpy_path_integers_are_stored_as_int(self):
+        spec = SeedSpec(1, ("pair", np.int32(0), np.int64(3)))
+        assert [type(element) for element in spec.path] == [str, int, int]
+        assert spec == SeedSpec(1, ("pair", 0, 3))
+        assert spec.stream_key() == SeedSpec(1, ("pair", 0, 3)).stream_key()
+
     def test_path_integers_limited_to_signed_64_bit(self):
         SeedSpec(1, (2**63 - 1, -2**63))
         for element in (2**63, -2**63 - 1):
@@ -205,6 +211,17 @@ class TestClockedWave:
             ClockedWave([255])  # must not wrap through int8 to -1
         with pytest.raises(ValueError):
             ClockedWave([1.5])  # must not truncate to 1
+        # The integer rule, as IntegerWave states it: no bool, float or complex samples.
+        for samples, dtype in (([True, True], "bool"), (np.array([1.0, -1.0]), "float64"),
+                               (np.array([1 + 0j]), "complex128")):
+            with pytest.raises(ValueError, match=f"^samples must be integers, got dtype {dtype}$"):
+                ClockedWave(samples)
+        ClockedWave(np.array([1, -1], dtype=object))
+        ClockedWave(np.zeros(0, dtype=bool))
+
+    def test_repr(self):
+        assert repr(ClockedWave([1, -1])) == "ClockedWave(K=2)"
+        assert repr(IntegerWave([5])) == "IntegerWave(K=1)"
 
     def test_samples_read_only(self):
         wave = ClockedWave([1, -1])
@@ -234,6 +251,8 @@ class TestIntegerWave:
             IntegerWave(np.zeros(4))  # float dtype
         with pytest.raises(ValueError):
             IntegerWave(np.array(["a"], dtype=object))
+        with pytest.raises(ValueError, match="one-dimensional"):
+            IntegerWave([[1, 2]])
 
     def test_empty(self):
         assert len(IntegerWave([])) == 0
@@ -401,6 +420,15 @@ class TestReferenceSystem:
         samples[1, 2, 5] = bad
         with pytest.raises(ValueError, match="-1 or \\+1"):
             ReferenceSystem(samples)
+
+    @pytest.mark.parametrize("dtype", [bool, np.float64, np.complex128])
+    def test_refuses_non_integer_samples(self, dtype):
+        with pytest.raises(ValueError, match="^samples must be integers, got dtype "):
+            ReferenceSystem(np.ones((2, 3, 8), dtype=dtype))
+        assert ReferenceSystem(np.ones((2, 3, 0), dtype=dtype)).clocks == 0
+
+    def test_repr(self):
+        assert repr(make_reference_system(SEED, 2, 8)) == "ReferenceSystem(N=2, K=8)"
 
     def test_samples_are_a_read_only_copy(self):
         source = np.ones((2, 2, 4), dtype=np.int8)
