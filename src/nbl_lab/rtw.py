@@ -132,9 +132,7 @@ class SeedSpec:
 
     def bits(self, count: int) -> np.ndarray:
         """First *count* bits of the substream as a uint8 0/1 array."""
-        count = _index(count, "count", 0)
-        buf = _stream_bytes((self.stream_key(),), -(-count // _BLOCK_BITS))
-        return np.unpackbits(np.frombuffer(buf, dtype=np.uint8))[:count]
+        return _stream_bits((self.stream_key(),), _index(count, "count", 0))[0]
 
 
 def _stream_bytes(keys: Sequence[bytes], n_blocks: int) -> bytes:
@@ -145,6 +143,13 @@ def _stream_bytes(keys: Sequence[bytes], n_blocks: int) -> bytes:
     counters = [i.to_bytes(8, "big") for i in range(n_blocks)]
     return b"".join(hashlib.blake2b(counter, key=key, digest_size=_BLOCK_BYTES).digest()
                     for key in keys for counter in counters)
+
+
+def _stream_bits(keys: Sequence[bytes], count: int) -> np.ndarray:
+    """Each key's first *count* stream bits, as a (len(keys), count) uint8 array."""
+    n_blocks = -(-count // _BLOCK_BITS)
+    bits = np.unpackbits(np.frombuffer(_stream_bytes(keys, n_blocks), dtype=np.uint8))
+    return bits.reshape(len(keys), n_blocks * _BLOCK_BITS)[:, :count]
 
 
 def _cut_rows(data: bytes, count: int, stride: int, clocks: int) -> list[int]:
@@ -198,15 +203,27 @@ def _all_bipolar(samples: np.ndarray) -> bool:
     return bool(np.all((samples == 1) | (samples == -1)))
 
 
-def _frozen_bipolar(raw: np.ndarray, what: str) -> np.ndarray:
-    """*raw* as a read-only int8 copy, refusing bool, float and complex
-    samples (unless there are none) as ``IntegerWave`` does, then any value
-    other than ±1 before the narrowing cast (int8 would wrap 255 to -1)."""
-    if raw.size and raw.dtype.kind in "bfc":
+def _frozen_samples(raw: np.ndarray, bipolar: str | None = None) -> np.ndarray:
+    """*raw* as a read-only copy under the one sample rule: every sample is an
+    integer, kept as int64 or, in object arrays and where int64 cannot hold
+    it, as a Python int.  Other dtypes are refused unless empty; object arrays
+    are checked element by element, refusing bool as :func:`_index` does.
+    Samples that *bipolar* names must be ±1 before the int8 narrowing."""
+    if raw.dtype == object:
+        try:
+            arr = np.array([_index(v, "sample") for v in raw.flat], object).reshape(raw.shape)
+        except TypeError as exc:
+            raise ValueError(str(exc)) from None
+    elif raw.size and raw.dtype.kind not in "iu":
         raise ValueError(f"samples must be integers, got dtype {raw.dtype}")
-    if not _all_bipolar(raw):
-        raise ValueError(f"every {what} sample must be -1 or +1")
-    arr = raw.astype(np.int8) if raw.size else np.zeros(raw.shape, np.int8)
+    else:
+        arr = raw.astype(np.int64) if raw.size else np.zeros(raw.shape, np.int64)
+        if raw.dtype.kind == "u" and np.any(arr < 0):  # uint64 past 2^63 - 1 wrapped
+            arr = raw.astype(object)
+    if bipolar is not None:
+        if not _all_bipolar(arr):
+            raise ValueError(f"every {bipolar} sample must be -1 or +1")
+        arr = arr.astype(np.int8)
     arr.setflags(write=False)
     return arr
 
@@ -217,6 +234,13 @@ class _Wave:
     so it agrees with equality for int8, int64 and object arrays alike."""
 
     __slots__ = ("_samples",)
+    _bipolar: str | None = None  # names the samples when they must be ±1
+
+    def __init__(self, samples: Iterable[int]):
+        raw = np.asarray(samples)
+        if raw.ndim != 1:
+            raise ValueError("samples must be one-dimensional")
+        self._samples = _frozen_samples(raw, self._bipolar)
 
     @classmethod
     def _wrap(cls, arr: np.ndarray):
@@ -249,12 +273,7 @@ class ClockedWave(_Wave):
     """Immutable sequence of bipolar unit samples, one per clock period."""
 
     __slots__ = ()
-
-    def __init__(self, samples: Iterable[int]):
-        raw = np.asarray(samples)
-        if raw.ndim != 1:
-            raise ValueError("samples must be one-dimensional")
-        self._samples = _frozen_bipolar(raw, "ClockedWave")
+    _bipolar = "ClockedWave"
 
     def __mul__(self, other: "ClockedWave") -> "ClockedWave":
         return multiply(self, other)
@@ -265,23 +284,6 @@ class IntegerWave(_Wave):
 
     __slots__ = ()
 
-    def __init__(self, samples: Iterable[int]):
-        arr = np.asarray(samples)
-        if arr.ndim != 1:
-            raise ValueError("samples must be one-dimensional")
-        if arr.size == 0:
-            arr = np.zeros(0, dtype=np.int64)
-        elif arr.dtype == object:
-            arr = arr.copy()
-            if not all(isinstance(s, (int, np.integer)) for s in arr):
-                raise ValueError("samples must be integers")
-        elif np.issubdtype(arr.dtype, np.integer):
-            arr = arr.astype(np.int64)
-        else:
-            raise ValueError(f"samples must be integers, got dtype {arr.dtype}")
-        arr.setflags(write=False)
-        self._samples = arr
-
 
 def generate_rtw(seed: SeedSpec, clocks: int) -> ClockedWave:
     """Generate a random telegraph wave of *clocks* fair ±1 samples.
@@ -289,9 +291,7 @@ def generate_rtw(seed: SeedSpec, clocks: int) -> ClockedWave:
     Bit-reproducible for equal (seed, clocks); a shorter call returns a
     prefix of a longer call with the same seed.
     """
-    bits = seed.bits(_index(clocks, "clocks", 0))
-    samples = (2 * bits.astype(np.int8) - 1)
-    return ClockedWave._wrap(samples)
+    return ClockedWave._wrap(2 * seed.bits(_index(clocks, "clocks", 0)).view(np.int8) - 1)
 
 
 class ReferenceSystem:
@@ -312,7 +312,7 @@ class ReferenceSystem:
         raw = np.asarray(samples)
         if raw.ndim != 3 or raw.shape[0] != 2:
             raise ValueError(f"samples must have shape (2, N, K), got {raw.shape}")
-        self._samples = _frozen_bipolar(raw, "reference")
+        self._samples = _frozen_samples(raw, "reference")
 
     @property
     def samples(self) -> np.ndarray:
@@ -357,11 +357,8 @@ def make_reference_system(master_seed: int, n_bits: int, clocks: int) -> Referen
     """Build the 2N reference waves from distinct substreams of one seed:
     L_r is the stream at path ("bit", r, "L") and H_r at ("bit", r, "H")."""
     n_bits, clocks = _index(n_bits, "n_bits", 0), _index(clocks, "clocks", 0)
-    keys = _reference_keys(master_seed, n_bits)
-    n_blocks = -(-clocks // _BLOCK_BITS)
-    bits = np.unpackbits(np.frombuffer(_stream_bytes(keys, n_blocks), dtype=np.uint8))
-    bits = bits.reshape(2, n_bits, n_blocks * _BLOCK_BITS)[..., :clocks].view(np.int8)
-    return ReferenceSystem._wrap(2 * bits - 1)
+    bits = _stream_bits(_reference_keys(master_seed, n_bits), clocks).reshape(2, n_bits, clocks)
+    return ReferenceSystem._wrap(2 * bits.view(np.int8) - 1)
 
 
 def _reference_rows(master_seed: int, n_bits: int, clocks: int) -> list[int]:
@@ -389,6 +386,8 @@ def time_average_product(a: ClockedWave, b: ClockedWave) -> float:
 
 def save_wave_file(path, wave: ClockedWave) -> None:
     """Write one "+1"/"-1" line per sample, newline-terminated."""
+    if not isinstance(wave, ClockedWave):  # the format holds only ±1 samples
+        raise TypeError(f"save_wave_file writes a ClockedWave, got {type(wave).__name__}")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for sample in wave.samples:
             fh.write("+1\n" if sample == 1 else "-1\n")

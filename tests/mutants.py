@@ -5,10 +5,11 @@ Run from anywhere, with numpy, pytest and hypothesis installed:
     python tests/mutants.py
 
 Each mutant replaces one exact piece of text in one file under ``src/``.
-For each, the script copies ``src/``, ``tests/`` and ``pyproject.toml`` into
-a temporary directory, applies the replacement there, and runs the mutant's
-pytest nodes against the copy: the nodes must fail.  The unmutated nodes run
-once first and must pass.  A mutant whose text is not found exactly once
+The script copies ``src/``, ``tests/``, ``pyproject.toml`` and, read-only,
+``bench/oracles.py`` (which a test fixture loads) into a temporary
+directory.  For each mutant it applies the replacement there and runs the
+mutant's pytest nodes against the copy: the nodes must fail.  The unmutated
+nodes run once first and must pass.  A mutant whose text is not found exactly once
 fails the script, so a refactor cannot retire a mutant silently.  pytest and
 Hypothesis write only into the temporary directory, so the checkout is left
 unchanged.  Exit status 0 means every mutant was caught.
@@ -29,6 +30,16 @@ ROOT = Path(__file__).resolve().parents[1]
 KERNEL = "tests/test_readout.py::TestReadoutKernel"
 COUNT = "tests/test_readout.py::TestCountFailures"
 ROWS = "tests/test_rtw.py::TestRows"
+TRIAL_SEEDS = "tests/test_readout.py::TestPlantTrial::test_trial_seeds_are_the_derived_seeds"
+STREAM = "tests/test_rtw.py::TestSeedSpec::test_bits_are_keyed_blake2b_of_the_block_counter"
+KEYS = "tests/test_rtw.py::TestSeedSpec::test_prefix_derived_keys_equal_stream_keys"
+PAIRS = "tests/test_experiments.py::TestOrthogonality::test_pair_value_is_the_wave_time_average"
+PLANES = "tests/test_hyperspace.py::TestSignPlanes::test_plane_values_are_the_universe_waves"
+COLLISIONS = "tests/test_sinus.py::TestFindDegeneracies::test_collision_counts_are_the_report_totals"
+MASK_ORDER = "tests/test_sinus.py::TestFindDegeneracies::test_linear_sixteen_bits_matches_closed_form"
+BLOCKS = "tests/test_hyperspace.py::TestRealizeSuperposition::test_block_size_does_not_change_the_sum"
+WAVES = "tests/test_rtw.py::TestClockedWave::test_validation"
+UINT64 = "tests/test_rtw.py::TestIntegerWave::test_accepts_beyond_int64"
 
 # (name, file under src/, exact text, replacement, nodes that must fail)
 MUTANTS = [
@@ -41,6 +52,30 @@ MUTANTS = [
     ("_cut_rows drops the complement", "nbl_lab/rtw.py",
      "(ones ^ int.from_bytes(data[j * stride:j * stride + width], \"big\"))",
      "int.from_bytes(data[j * stride:j * stride + width], \"big\")", [ROWS]),
+    ("_trial_seeds reads the second 8 key bytes", "nbl_lab/readout.py",
+     "int.from_bytes(key[:8], \"big\")", "int.from_bytes(key[8:16], \"big\")", [TRIAL_SEEDS]),
+    ("_stream_bytes writes the counter little-endian", "nbl_lab/rtw.py",
+     "i.to_bytes(8, \"big\") for i in range(n_blocks)",
+     "i.to_bytes(8, \"little\") for i in range(n_blocks)", [STREAM]),
+    ("_derive_keys drops its prefix", "nbl_lab/rtw.py",
+     "    state.update(prefix)\n", "", [KEYS]),
+    ("_bit_correlation drops its factor 2", "nbl_lab/experiments.py",
+     "(clocks - 2 * (a ^ b).bit_count())", "(clocks - (a ^ b).bit_count())", [PAIRS]),
+    ("_universe_sign_planes drops & ~differ", "nbl_lab/hyperspace.py",
+     "planes[n_bits] = odd & ~differ", "planes[n_bits] = odd", [PLANES]),
+    ("_expanded_sign_planes drops the carry", "nbl_lab/hyperspace.py",
+     "planes[j] ^ carry, planes[j] & carry", "planes[j] ^ carry, 0", [PLANES]),
+    ("_collision_counts counts only groups above 2", "nbl_lab/sinus.py",
+     "if count >= 2]", "if count > 2]", [COLLISIONS]),
+    ("find_degeneracies sorts unstably", "nbl_lab/sinus.py",
+     "kind=\"stable\"", "kind=\"quicksort\"", [MASK_ORDER]),
+    ("realize_superposition drops its last partial clock block", "nbl_lab/hyperspace.py",
+     "for start in range(0, clocks, span):", "for start in range(0, clocks - span + 1, span):",
+     [BLOCKS]),
+    ("_frozen_samples accepts bool elements", "nbl_lab/rtw.py",
+     "_index(v, \"sample\") for v in raw.flat", "operator.index(v) for v in raw.flat", [WAVES]),
+    ("_frozen_samples lets uint64 wrap through int64", "nbl_lab/rtw.py",
+     "if raw.dtype.kind == \"u\" and np.any(arr < 0):", "if False:", [UINT64]),
 ]
 
 
@@ -49,6 +84,10 @@ def _copy_checkout(dest: Path) -> None:
     for name in ("src", "tests"):
         shutil.copytree(ROOT / name, dest / name, ignore=ignore)
     shutil.copy2(ROOT / "pyproject.toml", dest / "pyproject.toml")
+    # The bench_oracles fixture of tests/conftest.py loads bench/oracles.py.
+    (dest / "bench").mkdir()
+    oracles = shutil.copy2(ROOT / "bench" / "oracles.py", dest / "bench" / "oracles.py")
+    os.chmod(oracles, 0o444)
 
 
 def _run_nodes(workdir: Path, nodes: list[str]) -> tuple[int, float]:

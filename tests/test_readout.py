@@ -13,6 +13,7 @@ from nbl_lab import (
     Gf2System,
     IntegerWave,
     ProductString,
+    SeedSpec,
     brute_force_readout,
     count_failures,
     gf2_fast_readout,
@@ -22,7 +23,7 @@ from nbl_lab import (
     stacho_clock_bound,
     timeshifted_readout_steps,
 )
-from nbl_lab.readout import ReadoutResult
+from nbl_lab.readout import ReadoutResult, _trial_seeds
 
 SEED = 0xD1CEBA5E
 
@@ -320,6 +321,17 @@ class TestReadoutKernel:
 
 
 class TestPlantTrial:
+    @given(st.integers(0, 2**64 - 1),
+           st.lists(st.one_of(st.integers(-2**63, 2**63 - 1),
+                              st.integers(0, 2**31 - 1).map(np.int64),
+                              st.integers(0, 255).map(np.uint8)), max_size=6))
+    @settings(max_examples=100, deadline=None)
+    def test_trial_seeds_are_the_derived_seeds(self, master_seed, trials):
+        # plant_trial and count_failures both read their trial seeds here,
+        # so only SeedSpec can catch a fault in the shared derivation.
+        expected = [SeedSpec(master_seed, ("trial", t)).derive_seed() for t in trials]
+        assert list(_trial_seeds(master_seed, trials)) == expected
+
     def test_deterministic(self):
         a_sys, a_ps, a_wave = plant_trial(SEED, 3, 5, 16)
         b_sys, b_ps, b_wave = plant_trial(SEED, 3, 5, 16)

@@ -216,8 +216,13 @@ class TestClockedWave:
                                (np.array([1 + 0j]), "complex128")):
             with pytest.raises(ValueError, match=f"^samples must be integers, got dtype {dtype}$"):
                 ClockedWave(samples)
-        ClockedWave(np.array([1, -1], dtype=object))
-        ClockedWave(np.zeros(0, dtype=bool))
+        # An object array follows the same rule, element by element.
+        for value in (1.0, True):
+            with pytest.raises(ValueError, match=f"^sample must be an integer, got {value!r}$"):
+                ClockedWave(np.array([value, -1], dtype=object))
+        assert ClockedWave(np.array([1, -1], dtype=object)) == ClockedWave([1, -1])
+        for dtype in (bool, np.float64, np.complex128, object, np.uint64, str):
+            assert ClockedWave(np.zeros(0, dtype=dtype)) == ClockedWave([])
 
     def test_repr(self):
         assert repr(ClockedWave([1, -1])) == "ClockedWave(K=2)"
@@ -243,6 +248,12 @@ class TestIntegerWave:
         big = 2**100
         wave = IntegerWave(np.array([big, -big], dtype=object))
         assert wave.samples[0] == big
+        # uint64 past 2^63 - 1 must not wrap through int64.
+        wave = IntegerWave(np.array([2**63, 2**64 - 1, 5], dtype=np.uint64))
+        assert wave.samples.tolist() == [2**63, 2**64 - 1, 5]
+        same = IntegerWave(np.array([2**63, 2**64 - 1, 5], dtype=object))
+        assert wave == same and hash(wave) == hash(same)
+        assert IntegerWave(np.array([5], dtype=np.uint64)).samples.dtype == np.int64
 
     def test_rejects_non_integers(self):
         with pytest.raises(ValueError):
@@ -251,11 +262,15 @@ class TestIntegerWave:
             IntegerWave(np.zeros(4))  # float dtype
         with pytest.raises(ValueError):
             IntegerWave(np.array(["a"], dtype=object))
+        with pytest.raises(ValueError, match="^sample must be an integer, got True$"):
+            IntegerWave(np.array([True, 2], dtype=object))
         with pytest.raises(ValueError, match="one-dimensional"):
             IntegerWave([[1, 2]])
 
     def test_empty(self):
         assert len(IntegerWave([])) == 0
+        for dtype in (bool, np.float64, np.complex128, object, np.uint64, str):
+            assert IntegerWave(np.zeros(0, dtype=dtype)) == IntegerWave([])
 
     def test_equality(self):
         assert IntegerWave([1, 2]) == IntegerWave([1, 2])
@@ -427,6 +442,14 @@ class TestReferenceSystem:
             ReferenceSystem(np.ones((2, 3, 8), dtype=dtype))
         assert ReferenceSystem(np.ones((2, 3, 0), dtype=dtype)).clocks == 0
 
+    @pytest.mark.parametrize("value", [1.0, True])
+    def test_refuses_non_integer_object_samples(self, value):
+        samples = np.ones((2, 3, 8), dtype=object)
+        assert np.array_equal(ReferenceSystem(samples).samples, np.ones((2, 3, 8)))
+        samples[1, 2, 5] = value
+        with pytest.raises(ValueError, match=f"^sample must be an integer, got {value!r}$"):
+            ReferenceSystem(samples)
+
     def test_repr(self):
         assert repr(make_reference_system(SEED, 2, 8)) == "ReferenceSystem(N=2, K=8)"
 
@@ -540,6 +563,14 @@ class TestWaveFiles:
         path = tmp_path / "wave.txt"
         save_wave_file(path, ClockedWave([1, -1, 1]))
         assert path.read_bytes() == b"+1\n-1\n+1\n"
+
+    def test_save_refuses_a_wave_that_is_not_clocked(self, tmp_path):
+        # Writing +1/-1 lines would turn 5, 0, 1 into -1, -1, +1.
+        path = tmp_path / "wave.txt"
+        message = "^save_wave_file writes a ClockedWave, got IntegerWave$"
+        with pytest.raises(TypeError, match=message):
+            save_wave_file(path, IntegerWave([5, 0, 1]))
+        assert not path.exists()
 
     def test_load_rejects_garbage(self, tmp_path):
         path = tmp_path / "bad.txt"
