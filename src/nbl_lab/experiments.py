@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, field
 from ._version import __version__
 from .hyperspace import (PRODUCT_STRING_CAP, _enumeration_bits, _expanded_sign_planes,
                          _universe_sign_planes)
-from .readout import count_failures, stacho_clock_bound, timeshifted_readout_steps
+from .readout import _failure_counts, stacho_clock_bound, timeshifted_readout_steps
 from .rtw import _BLOCK_BITS, SeedSpec, _index, _master_seed, _reference_rows, _stream_rows
 from .sinus import (
     EXPONENTIAL,
@@ -54,7 +54,7 @@ UNIVERSE_CHECK_CAP = 12
 # each at least 8x the largest config the CLI defaults, the README, the
 # acceptance grids and the benchmark run.
 ORTHOGONALITY_SAMPLE_CAP = 2**31  # wave samples, 2 * pairs * sum(K)
-READOUT_HASH_CAP = 2**29  # blake2b calls, sum of trials * (1 + 2N * (1 + ceil(K/512)))
+READOUT_HASH_CAP = 2**29  # blake2b calls, at most sum of trials * (1 + 2N * (1 + ceil(K/512)))
 READOUT_TRIAL_BLOCK_CAP = 2**18  # 64-byte stream blocks one trial holds, max of 2N * ceil(K/512)
 READOUT_BITS_CAP = 128  # N, which bounds each trial's elimination
 UNIVERSE_OP_CAP = 2**27  # oracle operations, K * sum((N + 1) * 2^N)
@@ -264,22 +264,26 @@ def run_readout_scaling(config: ExperimentConfig) -> ExperimentReport:
     started = time.perf_counter()
     if not config.bits or not config.clocks:
         raise ValueError("readout scaling requires bit and clock counts")
-    # Per trial: one trial key, then per substream one key and a blake2b
-    # call per block of samples; the +1 terms keep N = 0 or K = 0 from reading 0.
+    # Per trial and grid point: one trial key, then per substream one key and
+    # a blake2b call per block of samples; the +1 terms keep N = 0 or K = 0
+    # from reading 0.  The pass hashes each trial once, at max(N) and max(K),
+    # and stops at its first null tag, so this over-counts; it is kept as it
+    # was so that no config changes outcome.
     _refuse_over_cap(f"readout scaling: blake2b calls sum(trials*(1+2N*(1+ceil(K/{_BLOCK_BITS}))))",
                      sum(config.trials * (1 + 2 * n * (1 + -(-k // _BLOCK_BITS)))
                          for n in config.bits for k in config.clocks), READOUT_HASH_CAP)
-    # A trial reads all 2N of its streams in one _reference_rows call, so the
-    # largest grid point bounds the memory of a run.
+    # A trial holds at most max(N) pair rows of max(K) bits, half the blocks
+    # counted at the largest grid point, plus one stream at a time.
     _refuse_over_cap(f"readout scaling: stream blocks per trial max(2N*ceil(K/{_BLOCK_BITS}))",
                      max(2 * n * -(-k // _BLOCK_BITS) for n in config.bits for k in config.clocks),
                      READOUT_TRIAL_BLOCK_CAP)
     # N bounds elimination, and keeps ref_rate = 2^(N-K) a finite float.
     _refuse_over_cap("readout scaling: bit count max(N)", max(config.bits), READOUT_BITS_CAP)
+    counts = _failure_counts(config.bits, config.clocks, config.trials, config.master_seed)
     records = []
     for n_bits in sorted(config.bits):
         for clocks in sorted(config.clocks):
-            failures = count_failures(n_bits, clocks, config.trials, config.master_seed)
+            failures = counts[n_bits, clocks]
             records.append({
                 "N": n_bits,
                 "K": clocks,

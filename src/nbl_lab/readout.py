@@ -24,8 +24,8 @@ from typing import Iterable, Iterator, Union
 from ._numpy import np
 from .hyperspace import PRODUCT_STRING_CAP, ProductString, _enumeration_bits, realize_product
 from .rtw import (ClockedWave, IntegerWave, ReferenceSystem, SeedSpec, _all_bipolar,
-                  _derive_keys, _encode_path, _encode_path_element, _index, _reference_rows,
-                  _sign_rows, make_reference_system)
+                  _derive_keys, _encode_path, _encode_path_element, _index, _pair_rows, _sign_rows,
+                  make_reference_system)
 
 __all__ = [
     "ReadoutResult",
@@ -162,18 +162,19 @@ class Gf2System:
             yield sol
 
 
-def _null_tags(vectors: Iterable[int]) -> list[int]:
+def _null_tags(vectors: Iterable[int]) -> Iterator[int]:
     """Insert int vectors in order into an echelon basis over GF(2) and
-    return the tag of each vector that reduces to zero.
+    yield the tag of each vector that reduces to zero, as soon as it does.
 
     Each basis vector is keyed by its leading bit (``bit_length()``) and
     carries a tag, the mask of input vectors whose XOR it is; vector i
     starts with the tag 1 << i.  A vector that reduces to zero leaves a
     null tag: a nonzero mask c with XOR_{j in c} v_j = 0, whose top bit is
     i.  The null tags span every such mask, one per unit of rank deficit.
+    A vector is read only when the next tag is asked for, so a caller that
+    stops at the first null tag reads no vector past it.
     """
     pivots: dict[int, tuple[int, int]] = {}
-    null_tags: list[int] = []
     for i, vector in enumerate(vectors):
         tag = 1 << i
         while vector:
@@ -184,8 +185,7 @@ def _null_tags(vectors: Iterable[int]) -> list[int]:
             vector ^= hit[0]
             tag ^= hit[1]
         else:
-            null_tags.append(tag)
-    return null_tags
+            yield tag
 
 
 def _bipolar_samples(wave: AnyWave, refsys: ReferenceSystem) -> np.ndarray | None:
@@ -261,7 +261,7 @@ def gf2_fast_readout(wave: AnyWave, refsys: ReferenceSystem,
     # The right-hand side goes in as vector N after a_1..a_N: it lies in
     # their span exactly when it leaves the last null tag, the one with bit
     # N set, and that tag with bit N cleared is a solution.
-    null_tags = _null_tags([*map(operator.xor, low, high), rhs])
+    null_tags = list(_null_tags([*map(operator.xor, low, high), rhs]))
     if not null_tags or not null_tags[-1] >> n_bits:
         return ReadoutResult.from_survivors(())
     solution = null_tags.pop() ^ (1 << n_bits)
@@ -300,27 +300,70 @@ def plant_trial(master_seed: int, trial: int, n_bits: int,
     return refsys, planted, realize_product(planted, refsys)
 
 
+def _recorded(rows: Iterable[int], drawn: list[int]) -> Iterator[int]:
+    """*rows*, each appended to *drawn* as it is read."""
+    for row in rows:
+        drawn.append(row)
+        yield row
+
+
+def _failure_counts(bits: Iterable[int], clocks: Iterable[int], trials: int,
+                    master_seed: int) -> dict[tuple[int, int], int]:
+    """``count_failures(n, k, trials, master_seed)`` for every (n, k) of the
+    grid *bits* x *clocks*, from one lazy pass per trial.  The counts are
+    taken as already checked.
+
+    A trial is decided by its pair rows a_r = row(L_r) ^ row(H_r), the
+    columns of A, inserted in order into :func:`_null_tags`.  The first N
+    columns are rank-deficient exactly when some column below N reduces to
+    zero, so a trial fails at N exactly when its first null tag's top bit
+    is below N, and the pass stops at that tag: ``rtw._pair_rows`` hashes
+    no pair past it (at most K + 1 pairs at K < N).  Streams are
+    prefix-stable and clock 1 is a row's top bit, so a row at K is the row
+    at max(K) shifted right by max(K) - K, and the pairs drawn at max(K)
+    are all that any smaller K reads.
+    """
+    bits, clocks = tuple(bits), tuple(clocks)
+    max_n, max_k = max(bits), max(clocks)
+    smaller = sorted(set(clocks), reverse=True)[1:]
+    # firsts[k][i]: trials whose first null tag at K = k has top bit i,
+    # with i = max(N) for a trial that has none.
+    firsts = {k: [0] * (max_n + 1) for k in (max_k, *smaller)}
+    at_max_k, no_null = firsts[max_k], 1 << max_n
+    for trial_seed in _trial_seeds(master_seed, range(trials)):
+        rows = _pair_rows(trial_seed, max_n, max_k)
+        if smaller:
+            drawn: list[int] = []
+            rows = _recorded(rows, drawn)
+        at_max_k[next(_null_tags(rows), no_null).bit_length() - 1] += 1
+        for k in smaller:
+            shift = max_k - k
+            firsts[k][next(_null_tags(row >> shift for row in drawn), no_null).bit_length() - 1] += 1
+    return {(n, k): sum(firsts[k][:n]) for n in bits for k in clocks}
+
+
 def count_failures(n_bits: int, clocks: int, trials: int, master_seed: int) -> int:
     """Number of planted instances the fast readout fails to decode uniquely.
 
     Failure means "not unique".  An honestly planted instance is never
     inconsistent, so it fails exactly when A = sign(L) xor sign(H) (K x N
-    over GF(2)) is rank-deficient; each trial is decided by that rank
-    alone, its rows read straight from the stream digests, without a
-    reference system, planting, realizing or decoding, and gives the same
-    verdict as ``gf2_fast_readout`` on the ``plant_trial`` instance.
+    over GF(2)) is rank-deficient, and gives the same verdict as
+    ``gf2_fast_readout`` on the ``plant_trial`` instance.  Each trial is
+    decided without a reference system, planting, realizing or decoding:
+    the columns of A are hashed pair by pair and inserted in order into a
+    GF(2) basis, and the trial stops at the first column that reduces to
+    zero, hashing no pair past it.  This is the one-point call of the
+    engine that ``run_readout_scaling`` runs over a whole grid.
+
     Trials use seeds derived from (master_seed, trial index), so the count
-    is a pure function of the arguments; with a shared master seed the
-    per-trial reference waves for a larger *clocks* extend those for a
-    smaller one, making the count non-increasing in *clocks*.
+    is a pure function of the arguments.  With a shared master seed the
+    per-trial reference waves for a smaller *clocks* are a prefix of those
+    for a larger one, so a trial's columns at K are its columns at a larger
+    K shifted right, and the count is non-increasing in *clocks*.
     """
     n_bits, clocks, trials = (_index(n_bits, "n_bits", 0), _index(clocks, "clocks", 0),
                               _index(trials, "trials", 1))
-    failures = 0
-    for trial_seed in _trial_seeds(master_seed, range(trials)):
-        rows = _reference_rows(trial_seed, n_bits, clocks)  # L_1..L_N, then H_1..H_N
-        failures += bool(_null_tags(map(operator.xor, rows[:n_bits], rows[n_bits:])))
-    return failures
+    return _failure_counts((n_bits,), (clocks,), trials, master_seed)[n_bits, clocks]
 
 
 def _log4(x: float) -> float:

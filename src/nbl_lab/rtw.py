@@ -135,14 +135,22 @@ class SeedSpec:
         return _stream_bits((self.stream_key(),), _index(count, "count", 0))[0]
 
 
-def _stream_bytes(keys: Sequence[bytes], n_blocks: int) -> bytes:
+def _stream_bytes(keys: Sequence[bytes], n_blocks: int) -> bytearray:
     """The first *n_blocks* blocks of each key's stream, key after key: block
-    i is the keyed blake2b digest of the 8-byte big-endian counter i."""
-    if not keys:
-        return b""
-    counters = [i.to_bytes(8, "big") for i in range(n_blocks)]
-    return b"".join(hashlib.blake2b(counter, key=key, digest_size=_BLOCK_BYTES).digest()
-                    for key in keys for counter in counters)
+    i is the keyed blake2b digest of the 8-byte big-endian counter i.  Each
+    key is absorbed once into a state that is copied per block, except for
+    the last block, which is hashed on the state itself; digests are written
+    straight into the one buffer returned."""
+    data = bytearray(len(keys) * n_blocks * _BLOCK_BYTES)
+    at, last = 0, n_blocks - 1
+    for key in keys:
+        state = hashlib.blake2b(key=key, digest_size=_BLOCK_BYTES)
+        for i in range(n_blocks):
+            block = state.copy() if i < last else state
+            block.update(i.to_bytes(8, "big"))
+            data[at:at + _BLOCK_BYTES] = block.digest()
+            at += _BLOCK_BYTES
+    return data
 
 
 def _stream_bits(keys: Sequence[bytes], count: int) -> np.ndarray:
@@ -184,14 +192,21 @@ def _encode_path(path: Iterable[PathElement]) -> bytes:
     return b"".join(_encode_path_element(element) for element in path)
 
 
-def _derive_keys(master_seed: int, prefix: bytes, suffixes: Iterable[bytes]) -> Iterator[bytes]:
-    """The stream key of each path *prefix* ‖ *suffix* under *master_seed*,
-    with prefix and suffixes already encoded by :func:`_encode_path`.  The
-    hash of domain ‖ master ‖ prefix is taken once and copied per child, so
-    each key equals ``SeedSpec(master_seed, path).stream_key()``."""
+def _prefix_state(master_seed: int, prefix: bytes) -> "hashlib.blake2b":
+    """The hash state of domain ‖ master ‖ *prefix*, which the key of every
+    path under *prefix* copies and finishes with its encoded suffix."""
     state = hashlib.blake2b(_STREAM_DOMAIN, digest_size=32)
     state.update(_master_seed(master_seed).to_bytes(8, "big"))
     state.update(prefix)
+    return state
+
+
+def _derive_keys(master_seed: int, prefix: bytes, suffixes: Iterable[bytes]) -> Iterator[bytes]:
+    """The stream key of each path *prefix* ‖ *suffix* under *master_seed*,
+    with prefix and suffixes already encoded by :func:`_encode_path`.  The
+    prefix state is taken once and copied per child, so each key equals
+    ``SeedSpec(master_seed, path).stream_key()``."""
+    state = _prefix_state(master_seed, prefix)
     for suffix in suffixes:
         child = state.copy()
         child.update(suffix)
@@ -228,6 +243,22 @@ def _frozen_samples(raw: np.ndarray, bipolar: str | None = None) -> np.ndarray:
     return arr
 
 
+def _sample_array(samples) -> np.ndarray:
+    """*samples* as an array for :func:`_frozen_samples`.  numpy reads a
+    sequence of numbers as one number dtype, taking a bool among ints as 1
+    and ints past int64 as floats, so such a sequence is read again element
+    by element, as an object array is: int64 when every value fits, Python
+    ints when one does not."""
+    raw = np.asarray(samples)
+    if isinstance(samples, np.ndarray) or raw.dtype.kind not in "iuf":
+        return raw
+    checked = _frozen_samples(np.asarray(samples, dtype=object))
+    try:
+        return checked.astype(np.int64)
+    except OverflowError:
+        return checked
+
+
 class _Wave:
     """Read-only one-dimensional sample array.  Equal only to a wave of the
     same type with equal samples; the hash reads sample values, not bytes,
@@ -237,7 +268,7 @@ class _Wave:
     _bipolar: str | None = None  # names the samples when they must be ±1
 
     def __init__(self, samples: Iterable[int]):
-        raw = np.asarray(samples)
+        raw = _sample_array(samples)
         if raw.ndim != 1:
             raise ValueError("samples must be one-dimensional")
         self._samples = _frozen_samples(raw, self._bipolar)
@@ -309,7 +340,7 @@ class ReferenceSystem:
         return refsys
 
     def __init__(self, samples: np.ndarray):
-        raw = np.asarray(samples)
+        raw = _sample_array(samples)
         if raw.ndim != 3 or raw.shape[0] != 2:
             raise ValueError(f"samples must have shape (2, N, K), got {raw.shape}")
         self._samples = _frozen_samples(raw, "reference")
@@ -365,6 +396,35 @@ def _reference_rows(master_seed: int, n_bits: int, clocks: int) -> list[int]:
     """The rows of the 2N waves of ``make_reference_system(master_seed,
     n_bits, clocks)``, L_1..L_N then H_1..H_N."""
     return _stream_rows(_reference_keys(master_seed, n_bits), clocks)
+
+
+_FIRST_COUNTER = bytes(8)  # block 0's counter
+
+
+def _pair_rows(master_seed: int, n_bits: int, clocks: int) -> Iterator[int]:
+    """row(L_r) ^ row(H_r) of the waves of ``make_reference_system(master_seed,
+    n_bits, clocks)`` for r = 1..N, hashing the keys and streams of pair r
+    only when its row is asked for.  The complements of :func:`_cut_rows`
+    cancel in the XOR, so each pair XORs its two streams' bits and takes one
+    shift to K bits.  A one-block stream, every stream at K <= 512, is
+    hashed in one call."""
+    n_blocks = -(-clocks // _BLOCK_BITS)
+    shift = n_blocks * _BLOCK_BITS - clocks
+    suffixes = _bit_suffixes(n_bits)
+    state = _prefix_state(master_seed, _BIT_PREFIX)
+    blake2b, from_bytes = hashlib.blake2b, int.from_bytes
+    for low_suffix, high_suffix in zip(suffixes[:n_bits], suffixes[n_bits:]):
+        low_key = state.copy()
+        low_key.update(low_suffix)
+        high_key = state.copy()
+        high_key.update(high_suffix)
+        if n_blocks == 1:
+            low = blake2b(_FIRST_COUNTER, key=low_key.digest(), digest_size=_BLOCK_BYTES).digest()
+            high = blake2b(_FIRST_COUNTER, key=high_key.digest(), digest_size=_BLOCK_BYTES).digest()
+        else:
+            low = _stream_bytes((low_key.digest(),), n_blocks)
+            high = _stream_bytes((high_key.digest(),), n_blocks)
+        yield (from_bytes(low, "big") ^ from_bytes(high, "big")) >> shift
 
 
 def multiply(a: ClockedWave, b: ClockedWave) -> ClockedWave:

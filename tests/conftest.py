@@ -1,7 +1,12 @@
 import importlib.util
+import operator
 from pathlib import Path
 
 import pytest
+
+from nbl_lab import SeedSpec
+from nbl_lab.readout import _null_tags
+from nbl_lab.rtw import _reference_rows
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -39,3 +44,20 @@ def bench_oracles():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture(scope="session")
+def failure_recount():
+    """count_failures recounted trial by trial, apart from its lazy pass: each
+    trial's 2N rows read in full by rtw._reference_rows, its two halves
+    XORed, and every null tag listed; a trial fails when there is one."""
+
+    def recount(n_bits: int, clocks: int, trials: int, master_seed: int) -> int:
+        failures = 0
+        for trial in range(trials):
+            trial_seed = SeedSpec(master_seed, ("trial", trial)).derive_seed()
+            rows = _reference_rows(trial_seed, n_bits, clocks)
+            failures += bool(list(_null_tags(map(operator.xor, rows[:n_bits], rows[n_bits:]))))
+        return failures
+
+    return recount

@@ -28,7 +28,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 KERNEL = "tests/test_readout.py::TestReadoutKernel"
-COUNT = "tests/test_readout.py::TestCountFailures"
+RECOUNT = "tests/test_readout.py::TestCountFailures::test_matches_the_per_trial_recount"
+GRID_RECOUNT = ("tests/test_experiments.py::TestReadoutScaling::"
+                "test_every_record_matches_the_per_trial_recount")
+PAIR_ROWS = "tests/test_rtw.py::TestRows::test_pair_rows_are_the_xor_of_the_reference_rows"
 ROWS = "tests/test_rtw.py::TestRows"
 TRIAL_SEEDS = "tests/test_readout.py::TestPlantTrial::test_trial_seeds_are_the_derived_seeds"
 STREAM = "tests/test_rtw.py::TestSeedSpec::test_bits_are_keyed_blake2b_of_the_block_counter"
@@ -47,16 +50,20 @@ MUTANTS = [
      "            tag ^= hit[1]\n", "", [KERNEL]),
     ("gf2_fast_readout drops the bit-N consistency test", "nbl_lab/readout.py",
      "if not null_tags or not null_tags[-1] >> n_bits:", "if not null_tags:", [KERNEL]),
-    ("count_failures counts only deficits above 1", "nbl_lab/readout.py",
-     "failures += bool(_null_tags(", "failures += 1 < len(_null_tags(", [COUNT]),
+    ("_failure_counts counts a trial whose first null tag's top bit is N", "nbl_lab/readout.py",
+     "sum(firsts[k][:n])", "sum(firsts[k][:n + 1])", [RECOUNT]),
+    ("_failure_counts reuses the max(K) rows for every K", "nbl_lab/readout.py",
+     "row >> shift for row in drawn", "row for row in drawn", [GRID_RECOUNT]),
+    ("_pair_rows drops its pad shift", "nbl_lab/rtw.py",
+     "from_bytes(high, \"big\")) >> shift", "from_bytes(high, \"big\"))",
+     [PAIR_ROWS, RECOUNT]),
     ("_cut_rows drops the complement", "nbl_lab/rtw.py",
      "(ones ^ int.from_bytes(data[j * stride:j * stride + width], \"big\"))",
      "int.from_bytes(data[j * stride:j * stride + width], \"big\")", [ROWS]),
     ("_trial_seeds reads the second 8 key bytes", "nbl_lab/readout.py",
      "int.from_bytes(key[:8], \"big\")", "int.from_bytes(key[8:16], \"big\")", [TRIAL_SEEDS]),
     ("_stream_bytes writes the counter little-endian", "nbl_lab/rtw.py",
-     "i.to_bytes(8, \"big\") for i in range(n_blocks)",
-     "i.to_bytes(8, \"little\") for i in range(n_blocks)", [STREAM]),
+     "block.update(i.to_bytes(8, \"big\"))", "block.update(i.to_bytes(8, \"little\"))", [STREAM]),
     ("_derive_keys drops its prefix", "nbl_lab/rtw.py",
      "    state.update(prefix)\n", "", [KEYS]),
     ("_bit_correlation drops its factor 2", "nbl_lab/experiments.py",

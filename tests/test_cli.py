@@ -194,7 +194,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_ref_rate_beyond_float_range_exits_2_before_any_hashing(self, argv, reason, fmt,
                                                                     capsys, monkeypatch):
-        monkeypatch.setattr(experiments, "count_failures", _no_work)
+        monkeypatch.setattr(experiments, "_failure_counts", _no_work)
         code, out, err = run_cli(["readout-scaling", *argv, "--trials", "1", "--format", fmt],
                                  capsys)
         assert code == 2
@@ -326,7 +326,7 @@ class TestCostCaps:
     def _forbid_work(self, monkeypatch):
         # Every test here must be decided by the cap check alone.
         monkeypatch.delenv(SEED_ENV_VAR, raising=False)
-        for name in ("_stream_rows", "_reference_rows", "count_failures"):
+        for name in ("_stream_rows", "_reference_rows", "_failure_counts"):
             monkeypatch.setattr(experiments, name, _no_work)
 
     @staticmethod

@@ -335,6 +335,26 @@ class TestReadoutScaling:
             rates.append(run_readout_scaling(config).records[0]["rate"])
         assert rates[0] > rates[1] > rates[2]
 
+    # Grids with K < N, N = 0, K = 0 and K across the 512-clock block edges.
+    @given(st.lists(st.integers(0, 12), min_size=1, max_size=3),
+           st.lists(st.sampled_from([0, 1, 7, 8, 9, 511, 512, 513, 1030]), min_size=1,
+                    max_size=3),
+           st.integers(1, 4), st.integers(0, 2**64 - 1))
+    @example([0, 12], [0, 1, 513], 3, SEED)
+    @example([12, 4], [9, 8, 1030], 3, SEED)
+    @example([6, 6], [7, 7], 2, SEED)
+    @settings(max_examples=60, deadline=None)
+    def test_every_record_matches_the_per_trial_recount(self, failure_recount, bits, clocks,
+                                                         trials, master_seed):
+        config = ExperimentConfig("readout-scaling", bits=tuple(bits), clocks=tuple(clocks),
+                                  trials=trials, master_seed=master_seed)
+        records = run_readout_scaling(config).records
+        assert [(r["N"], r["K"]) for r in records] == \
+            [(n, k) for n in sorted(bits) for k in sorted(clocks)]
+        for record in records:
+            assert record["failures"] == failure_recount(record["N"], record["K"], trials,
+                                                         master_seed)
+
     def test_golden_csv(self, golden):
         config = ExperimentConfig("readout-scaling", bits=(4,), clocks=(0, 8, 16), trials=50,
                                   master_seed=SEED)

@@ -23,9 +23,13 @@ from nbl_lab import (
     stacho_clock_bound,
     timeshifted_readout_steps,
 )
-from nbl_lab.readout import ReadoutResult, _trial_seeds
+from nbl_lab import readout
+from nbl_lab.readout import ReadoutResult, _failure_counts, _trial_seeds
+from nbl_lab.rtw import _pair_rows
 
 SEED = 0xD1CEBA5E
+# K = 0, K % 8 != 0 and the 512-clock block edges.
+ENGINE_CLOCKS = [0, 1, 7, 8, 9, 511, 512, 513, 1030]
 
 
 def brute_solutions(n_vars, rows):
@@ -418,6 +422,35 @@ class TestCountFailures:
     def test_numpy_counts_accepted(self):
         assert count_failures(np.int64(6), np.uint8(8), np.int32(50), np.uint64(SEED)) == \
             count_failures(6, 8, 50, SEED)
+
+    @given(st.integers(0, 12), st.sampled_from(ENGINE_CLOCKS), st.integers(1, 6),
+           st.integers(0, 2**64 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_per_trial_recount(self, failure_recount, n_bits, clocks, trials,
+                                           master_seed):
+        assert count_failures(n_bits, clocks, trials, master_seed) == \
+            failure_recount(n_bits, clocks, trials, master_seed)
+
+    @pytest.mark.parametrize("bits,clocks", [
+        ((1,), (0,)), ((3,), (1,)), ((12,), (0,)), ((12,), (7,)), ((12,), (9,)),
+        ((6, 12), (3, 5)), ((12,), (0, 1, 9)),
+    ])
+    def test_a_trial_at_k_below_n_draws_at_most_k_plus_1_pairs(self, bits, clocks,
+                                                               monkeypatch):
+        drawn = []
+
+        def counted_pair_rows(master_seed, n_bits, clocks):
+            drawn.append(0)
+            for row in _pair_rows(master_seed, n_bits, clocks):
+                drawn[-1] += 1
+                yield row
+
+        monkeypatch.setattr(readout, "_pair_rows", counted_pair_rows)
+        counts = _failure_counts(bits, clocks, 40, SEED)
+        # K < N columns of K bits are always dependent, so every trial fails.
+        assert counts == {(n, k): 40 for n in bits for k in clocks}
+        assert len(drawn) == 40
+        assert max(drawn) <= max(clocks) + 1
 
     # 512 clocks per stream block: 511, 513 and 1025 straddle the block edges.
     @pytest.mark.parametrize("clocks", [64, 66, 511, 513, 1025])

@@ -23,8 +23,8 @@ from nbl_lab import (
     save_wave_file,
     time_average_product,
 )
-from nbl_lab.rtw import (_derive_keys, _encode_path, _reference_rows, _sign_rows, _stream_bytes,
-                         _stream_rows)
+from nbl_lab.rtw import (_derive_keys, _encode_path, _pair_rows, _reference_rows, _sign_rows,
+                         _stream_bytes, _stream_rows)
 
 SEED = 0xD1CEBA5E
 
@@ -135,6 +135,26 @@ class TestSeedSpec:
             tracemalloc.stop()
         assert peak < 64 * 1024
 
+    @pytest.mark.parametrize("n_blocks", [0, 1, 2, 3])
+    def test_stream_bytes_are_each_keys_blocks_key_after_key(self, n_blocks):
+        keys = [SeedSpec(SEED, ("stream", side)).stream_key() for side in range(3)]
+        expected = b"".join(
+            hashlib.blake2b(i.to_bytes(8, "big"), key=key, digest_size=64).digest()
+            for key in keys for i in range(n_blocks))
+        assert _stream_bytes(keys, n_blocks) == expected
+
+    def test_a_long_stream_peaks_near_the_bytes_it_returns(self):
+        # One buffer of digests: no per-block bytes objects or counters held.
+        key = SeedSpec(SEED, ("stream", 0)).stream_key()
+        tracemalloc.start()
+        try:
+            data = _stream_bytes([key], 2**16)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(data) == 2**16 * 64
+        assert peak <= 1.5 * len(data)
+
     @pytest.mark.parametrize("count", [True, 2.5, "4"])
     def test_bit_count_must_be_an_integer(self, count):
         message = f"count must be an integer, got {count!r}"
@@ -224,6 +244,14 @@ class TestClockedWave:
         for dtype in (bool, np.float64, np.complex128, object, np.uint64, str):
             assert ClockedWave(np.zeros(0, dtype=dtype)) == ClockedWave([])
 
+    def test_a_list_follows_the_element_rule(self):
+        # numpy alone would read this list as int64, with True as 1.
+        with pytest.raises(ValueError, match="^sample must be an integer, got True$"):
+            ClockedWave([True, -1])
+        with pytest.raises(ValueError, match="^sample must be an integer, got True$"):
+            ReferenceSystem([[[True, -1]], [[1, 1]]])
+        assert ClockedWave([1, -1]).samples.dtype == np.int8
+
     def test_repr(self):
         assert repr(ClockedWave([1, -1])) == "ClockedWave(K=2)"
         assert repr(IntegerWave([5])) == "IntegerWave(K=1)"
@@ -254,6 +282,17 @@ class TestIntegerWave:
         same = IntegerWave(np.array([2**63, 2**64 - 1, 5], dtype=object))
         assert wave == same and hash(wave) == hash(same)
         assert IntegerWave(np.array([5], dtype=np.uint64)).samples.dtype == np.int64
+
+    def test_a_list_follows_the_element_rule(self):
+        # numpy alone would read the first list as int64 with True as 1, and
+        # the second as float64.
+        with pytest.raises(ValueError, match="^sample must be an integer, got True$"):
+            IntegerWave([True, 2])
+        wave = IntegerWave([2**63, -1])
+        assert wave.samples.tolist() == [2**63, -1]
+        assert type(wave.samples[0]) is int
+        assert wave == IntegerWave(np.array([2**63, -1], dtype=object))
+        assert IntegerWave([2**63 - 1, -2**63]).samples.dtype == np.int64
 
     def test_rejects_non_integers(self):
         with pytest.raises(ValueError):
@@ -546,6 +585,18 @@ class TestRows:
         assert _sign_rows((wave_a.samples * wave_b.samples)[None]) == [row_a ^ row_b]
         assert _stream_rows([a.stream_key()], clocks) == [row_a]
         assert row_a < 1 << clocks
+
+    @given(st.integers(0, 2**64 - 1), st.integers(0, 6),
+           st.one_of(st.sampled_from([0, 1, 7, 8, 9, 511, 512, 513, 1030]),
+                     st.integers(0, 1100)))
+    @example(SEED, 3, 0)
+    @example(SEED, 3, 9)
+    @example(SEED, 3, 513)
+    @settings(max_examples=100, deadline=None)
+    def test_pair_rows_are_the_xor_of_the_reference_rows(self, master_seed, n_bits, clocks):
+        rows = _reference_rows(master_seed, n_bits, clocks)
+        expected = [low ^ high for low, high in zip(rows[:n_bits], rows[n_bits:])]
+        assert list(_pair_rows(master_seed, n_bits, clocks)) == expected
 
     def test_clock_1_is_the_most_significant_bit(self):
         assert _sign_rows(np.array([[-1, 1, 1], [1, 1, -1], [1, 1, 1]])) == [0b100, 0b001, 0]
