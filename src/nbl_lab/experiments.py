@@ -266,9 +266,9 @@ def run_readout_scaling(config: ExperimentConfig) -> ExperimentReport:
         raise ValueError("readout scaling requires bit and clock counts")
     # Per trial and grid point: one trial key, then per substream one key and
     # a blake2b call per block of samples; the +1 terms keep N = 0 or K = 0
-    # from reading 0.  The pass hashes each trial once, at max(N) and max(K),
-    # and stops at its first null tag, so this over-counts; it is kept as it
-    # was so that no config changes outcome.
+    # from reading 0.  A trial is hashed once for the grid and stops at its
+    # first null tag, so this is an upper bound, kept so that no config
+    # changes outcome.
     _refuse_over_cap(f"readout scaling: blake2b calls sum(trials*(1+2N*(1+ceil(K/{_BLOCK_BITS}))))",
                      sum(config.trials * (1 + 2 * n * (1 + -(-k // _BLOCK_BITS)))
                          for n in config.bits for k in config.clocks), READOUT_HASH_CAP)

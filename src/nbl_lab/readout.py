@@ -324,8 +324,8 @@ def _failure_counts(bits: Iterable[int], clocks: Iterable[int], trials: int,
     are all that any smaller K reads.
     """
     bits, clocks = tuple(bits), tuple(clocks)
-    max_n, max_k = max(bits), max(clocks)
-    smaller = sorted(set(clocks), reverse=True)[1:]
+    max_n = max(bits)
+    max_k, *smaller = sorted(set(clocks), reverse=True)
     # firsts[k][i]: trials whose first null tag at K = k has top bit i,
     # with i = max(N) for a trial that has none.
     firsts = {k: [0] * (max_n + 1) for k in (max_k, *smaller)}
@@ -338,7 +338,8 @@ def _failure_counts(bits: Iterable[int], clocks: Iterable[int], trials: int,
         at_max_k[next(_null_tags(rows), no_null).bit_length() - 1] += 1
         for k in smaller:
             shift = max_k - k
-            firsts[k][next(_null_tags(row >> shift for row in drawn), no_null).bit_length() - 1] += 1
+            first = next(_null_tags(row >> shift for row in drawn), no_null)
+            firsts[k][first.bit_length() - 1] += 1
     return {(n, k): sum(firsts[k][:n]) for n in bits for k in clocks}
 
 

@@ -31,6 +31,7 @@ __all__ = [
 _STREAM_DOMAIN = b"nbl-lab/rtw-stream/v1"
 _BLOCK_BYTES = 64  # blake2b max digest; 512 wave samples per block
 _BLOCK_BITS = _BLOCK_BYTES * 8
+_FIRST_COUNTER = bytes(8)  # block 0's counter
 
 PathElement = Union[int, str]
 
@@ -137,19 +138,24 @@ class SeedSpec:
 
 def _stream_bytes(keys: Sequence[bytes], n_blocks: int) -> bytearray:
     """The first *n_blocks* blocks of each key's stream, key after key: block
-    i is the keyed blake2b digest of the 8-byte big-endian counter i.  Each
-    key is absorbed once into a state that is copied per block, except for
-    the last block, which is hashed on the state itself; digests are written
-    straight into the one buffer returned."""
-    data = bytearray(len(keys) * n_blocks * _BLOCK_BYTES)
-    at, last = 0, n_blocks - 1
-    for key in keys:
-        state = hashlib.blake2b(key=key, digest_size=_BLOCK_BYTES)
-        for i in range(n_blocks):
-            block = state.copy() if i < last else state
-            block.update(i.to_bytes(8, "big"))
-            data[at:at + _BLOCK_BYTES] = block.digest()
-            at += _BLOCK_BYTES
+    i is the keyed blake2b digest of the 8-byte big-endian counter i.  A
+    longer stream absorbs its key once into a state that is copied per
+    block, except for the last block, which is hashed on the state itself.
+    Digests are appended to the one buffer returned."""
+    data = bytearray()
+    if n_blocks == 1:  # every stream at K <= 512: one keyed call per key
+        for key in keys:
+            data += hashlib.blake2b(_FIRST_COUNTER, key=key, digest_size=_BLOCK_BYTES).digest()
+    elif n_blocks:
+        last = n_blocks - 1
+        for key in keys:
+            state = hashlib.blake2b(key=key, digest_size=_BLOCK_BYTES)
+            for i in range(last):
+                block = state.copy()
+                block.update(i.to_bytes(8, "big"))
+                data += block.digest()
+            state.update(last.to_bytes(8, "big"))
+            data += state.digest()
     return data
 
 
@@ -396,9 +402,6 @@ def _reference_rows(master_seed: int, n_bits: int, clocks: int) -> list[int]:
     """The rows of the 2N waves of ``make_reference_system(master_seed,
     n_bits, clocks)``, L_1..L_N then H_1..H_N."""
     return _stream_rows(_reference_keys(master_seed, n_bits), clocks)
-
-
-_FIRST_COUNTER = bytes(8)  # block 0's counter
 
 
 def _pair_rows(master_seed: int, n_bits: int, clocks: int) -> Iterator[int]:

@@ -447,7 +447,7 @@ class TestCountFailures:
 
         monkeypatch.setattr(readout, "_pair_rows", counted_pair_rows)
         counts = _failure_counts(bits, clocks, 40, SEED)
-        # K < N columns of K bits are always dependent, so every trial fails.
+        # N columns of K < N bits are always dependent, so every trial fails.
         assert counts == {(n, k): 40 for n in bits for k in clocks}
         assert len(drawn) == 40
         assert max(drawn) <= max(clocks) + 1
