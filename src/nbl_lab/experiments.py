@@ -273,7 +273,7 @@ def run_readout_scaling(config: ExperimentConfig) -> ExperimentReport:
                      sum(config.trials * (1 + 2 * n * (1 + -(-k // _BLOCK_BITS)))
                          for n in config.bits for k in config.clocks), READOUT_HASH_CAP)
     # A trial holds at most max(N) pair rows of max(K) bits, half the blocks
-    # counted at the largest grid point, plus one stream at a time.
+    # counted at the largest grid point, plus one pair of streams at a time.
     _refuse_over_cap(f"readout scaling: stream blocks per trial max(2N*ceil(K/{_BLOCK_BITS}))",
                      max(2 * n * -(-k // _BLOCK_BITS) for n in config.bits for k in config.clocks),
                      READOUT_TRIAL_BLOCK_CAP)

@@ -143,10 +143,7 @@ def _stream_bytes(keys: Sequence[bytes], n_blocks: int) -> bytearray:
     block, except for the last block, which is hashed on the state itself.
     Digests are appended to the one buffer returned."""
     data = bytearray()
-    if n_blocks == 1:  # every stream at K <= 512: one keyed call per key
-        for key in keys:
-            data += hashlib.blake2b(_FIRST_COUNTER, key=key, digest_size=_BLOCK_BYTES).digest()
-    elif n_blocks:
+    if n_blocks:
         last = n_blocks - 1
         for key in keys:
             state = hashlib.blake2b(key=key, digest_size=_BLOCK_BYTES)
@@ -254,9 +251,12 @@ def _sample_array(samples) -> np.ndarray:
     sequence of numbers as one number dtype, taking a bool among ints as 1
     and ints past int64 as floats, so such a sequence is read again element
     by element, as an object array is: int64 when every value fits, Python
-    ints when one does not."""
+    ints when one does not.  A flat sequence of plain ints that numpy read
+    as integers, such as a wave file's samples, is kept as read."""
     raw = np.asarray(samples)
     if isinstance(samples, np.ndarray) or raw.dtype.kind not in "iuf":
+        return raw
+    if raw.ndim == 1 and raw.dtype.kind in "iu" and {int}.issuperset(map(type, samples)):
         return raw
     checked = _frozen_samples(np.asarray(samples, dtype=object))
     try:
@@ -410,7 +410,9 @@ def _pair_rows(master_seed: int, n_bits: int, clocks: int) -> Iterator[int]:
     only when its row is asked for.  The complements of :func:`_cut_rows`
     cancel in the XOR, so each pair XORs its two streams' bits and takes one
     shift to K bits.  A one-block stream, every stream at K <= 512, is
-    hashed in one call."""
+    hashed here in one keyed call, under the counter :func:`_stream_bytes`
+    gives block 0: calling ``_stream_bytes`` per pair instead made the
+    Monte Carlo benchmark about a quarter slower."""
     n_blocks = -(-clocks // _BLOCK_BITS)
     shift = n_blocks * _BLOCK_BITS - clocks
     suffixes = _bit_suffixes(n_bits)

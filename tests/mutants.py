@@ -64,6 +64,8 @@ MUTANTS = [
      "int.from_bytes(key[:8], \"big\")", "int.from_bytes(key[8:16], \"big\")", [TRIAL_SEEDS]),
     ("_stream_bytes writes the counter little-endian", "nbl_lab/rtw.py",
      "block.update(i.to_bytes(8, \"big\"))", "block.update(i.to_bytes(8, \"little\"))", [STREAM]),
+    ("_pair_rows hashes a one-block stream under counter 1", "nbl_lab/rtw.py",
+     "_FIRST_COUNTER = bytes(8)", "_FIRST_COUNTER = (1).to_bytes(8, \"big\")", [PAIR_ROWS, RECOUNT]),
     ("_derive_keys drops its prefix", "nbl_lab/rtw.py",
      "    state.update(prefix)\n", "", [KEYS]),
     ("_bit_correlation drops its factor 2", "nbl_lab/experiments.py",

@@ -293,6 +293,10 @@ class TestIntegerWave:
         assert type(wave.samples[0]) is int
         assert wave == IntegerWave(np.array([2**63, -1], dtype=object))
         assert IntegerWave([2**63 - 1, -2**63]).samples.dtype == np.int64
+        # Plain ints that numpy reads as uint64, and bools among numpy ints.
+        assert IntegerWave([2**63, 1]).samples.tolist() == [2**63, 1]
+        with pytest.raises(ValueError, match="^sample must be an integer, got "):
+            IntegerWave([np.int64(3), np.True_])
 
     def test_rejects_non_integers(self):
         with pytest.raises(ValueError):
