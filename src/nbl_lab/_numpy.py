@@ -3,7 +3,9 @@
 ``np`` is executed on its first attribute access.  No CLI experiment uses
 an array, so an ``nbl-lab`` process never pays for loading numpy; the wave
 and array API does.  After that access it is the plain numpy module.  A
-numpy already in ``sys.modules`` is used as it is.
+numpy already in ``sys.modules`` is used as it is.  A test runs all five
+experiments with numpy blocked and compares their reports with the goldens;
+the array functions they stand in for are their oracles in the tests.
 """
 
 import importlib.util

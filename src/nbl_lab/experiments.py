@@ -52,11 +52,19 @@ SCHEMA_VERSION = 1
 UNIVERSE_CHECK_CAP = 12
 # Caps on each experiment's up-front cost estimate (see _refuse_over_cap),
 # each at least 8x the largest config the CLI defaults, the README, the
-# acceptance grids and the benchmark run.
+# acceptance grids and the benchmark run.  At the far ends of
+# UNIVERSE_OP_CAP (N = 0 with K = 2^27, N = 1 with K = 2^25, N = 12 with
+# K = 2520) universe-check finishes, and so does one readout-scaling trial
+# at N = 128 with K = 2^19, under a 1 GiB address-space limit (tested).
 ORTHOGONALITY_SAMPLE_CAP = 2**31  # wave samples, 2 * pairs * sum(K)
 READOUT_HASH_CAP = 2**29  # blake2b calls, at most sum of trials * (1 + 2N * (1 + ceil(K/512)))
-READOUT_TRIAL_BLOCK_CAP = 2**18  # 64-byte stream blocks one trial holds, max of 2N * ceil(K/512)
-READOUT_BITS_CAP = 128  # N, which bounds each trial's elimination
+# 64-byte stream blocks one trial holds, max of 2N * ceil(K/512): 16 MiB of
+# stream at the cap, where the hash cap alone would admit trials of tens of GB.
+READOUT_TRIAL_BLOCK_CAP = 2**18
+# N, which bounds each trial's elimination: it outgrows the trial's hashing
+# as N grows, to 3.5-5.2x the hashing time at N = 512-1023 and 5.4 s per
+# trial at N = K = 8192, a trial that the other two caps admit 1927 times.
+READOUT_BITS_CAP = 128
 UNIVERSE_OP_CAP = 2**27  # oracle operations, K * sum((N + 1) * 2^N)
 
 @dataclass(frozen=True)
@@ -174,8 +182,11 @@ def run_orthogonality(config: ExperimentConfig) -> ExperimentReport:
 
     For each clock count K: median and max |time-average product| over
     *trials* independent wave pairs, next to the 4/sqrt(K) reference bound
-    and an identical-wave self check (always exactly 1.0).  Each pair is
-    correlated from its two rows (the waves of ``generate_rtw``).
+    and an identical-wave self check (always exactly 1.0).  No wave is
+    built: each pair is correlated from its two rows (the waves of
+    ``generate_rtw``), with the int numerator and denominator of
+    ``time_average_product``, so every value is the same float.  Those two
+    functions are its oracle in the tests, pair by pair and report by report.
     """
     started = time.perf_counter()
     if not config.clocks:
@@ -211,7 +222,14 @@ def run_orthogonality(config: ExperimentConfig) -> ExperimentReport:
 
 def run_universe_check(config: ExperimentConfig) -> ExperimentReport:
     """Product-form universe synthesis vs the expanded-sum oracle, with
-    the per-clock operation counts of both paths' cost models."""
+    the per-clock operation counts of both paths' cost models (counts, not
+    wall time).
+
+    No wave is built: both paths run on the rows of the reference waves, as
+    per-clock counts of -1 terms in sign-bit planes.  In the tests the rows
+    are checked against ``make_reference_system``, the plane values against
+    ``synthesize_universe`` and ``realize_superposition(expand_universe(N))``,
+    and whole reports against reports built from those functions."""
     started = time.perf_counter()
     if any(n > UNIVERSE_CHECK_CAP for n in config.bits):
         raise ValueError(f"universe check: bit count exceeds cap {UNIVERSE_CHECK_CAP}")

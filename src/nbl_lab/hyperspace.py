@@ -103,7 +103,10 @@ class Superposition:
     """A set of product strings, each with an on/off coefficient fixed to on.
 
     Held as N and the members' masks, so equality and hashing never touch
-    a ProductString; *members* builds the strings on demand.
+    a ProductString; *members* builds the strings on demand.  The
+    constructor checks every member: one that is not a ProductString is a
+    TypeError naming *members*, one of another width a ValueError.
+    expand_universe, which builds no ProductString, uses the trusted _wrap.
     """
 
     n_bits: int

@@ -92,7 +92,9 @@ class Gf2System:
     Bit i of a row is the coefficient of variable i; bit n_vars is the
     right-hand side.  Gauss-Jordan elimination runs at construction, so
     rank, consistency and the solution set are immediately available.
-    Elimination preserves the solution set.
+    Elimination preserves the solution set.  This per-clock elimination is
+    kept public as the oracle of :func:`_null_tags`, the one reduction that
+    ``gf2_fast_readout`` and ``count_failures`` run.
     """
 
     __slots__ = ("n_vars", "rows", "rank", "pivot_cols", "consistent")
@@ -241,9 +243,10 @@ def gf2_fast_readout(wave: AnyWave, refsys: ReferenceSystem,
         sum_r c_r * a_r(t)  =  w(t) + sum_r l_r(t)      (mod 2)
 
     with a_r = l_r XOR h_r and c_r = 1 iff bit r selects H.  Gaussian
-    elimination then yields a unique solution (full rank), 2^d survivors
-    (rank deficit d), or inconsistency.  Cost is O(K*N) to build the
-    system plus the elimination.
+    elimination, :func:`_null_tags` over the N packed K-bit vectors a_r and
+    the right-hand side, then yields a unique solution (full rank), 2^d
+    survivors (rank deficit d), or inconsistency.  Cost is O(K*N) to build
+    the system plus the elimination.
 
     Survivor sets with d > max_enumerated_deficit are not materialized;
     the result then carries survivors=None and the exact count 2^d.
@@ -321,7 +324,16 @@ def _failure_counts(bits: Iterable[int], clocks: Iterable[int], trials: int,
     no pair past it (at most K + 1 pairs at K < N).  Streams are
     prefix-stable and clock 1 is a row's top bit, so a row at K is the row
     at max(K) shifted right by max(K) - K, and the pairs drawn at max(K)
-    are all that any smaller K reads.
+    are all that any smaller K reads, since a first null tag comes no later
+    at a smaller K.  The pass learns whether a trial fails, not its full
+    rank deficit.  The ("trial",) key prefix is hashed once per call and the
+    ("bit",) prefix once per trial, so hashing the pairs is most of a
+    trial's time.
+
+    The tests compare every count with a per-trial recount that reads all
+    2N rows through ``rtw._reference_rows`` and lists every null tag,
+    including N = 0, K = 0, K across the 512-clock block edges and grids
+    with K < N.
     """
     bits, clocks = tuple(bits), tuple(clocks)
     max_n = max(bits)
@@ -354,7 +366,9 @@ def count_failures(n_bits: int, clocks: int, trials: int, master_seed: int) -> i
     the columns of A are hashed pair by pair and inserted in order into a
     GF(2) basis, and the trial stops at the first column that reduces to
     zero, hashing no pair past it.  This is the one-point call of the
-    engine that ``run_readout_scaling`` runs over a whole grid.
+    engine that ``run_readout_scaling`` runs over a whole grid.  The hash
+    inputs are those of per-substream ``SeedSpec`` keys, so the counts are
+    the same as with those keys and ``Gf2System``.
 
     Trials use seeds derived from (master_seed, trial index), so the count
     is a pure function of the arguments.  With a shared master seed the

@@ -141,7 +141,8 @@ def _stream_bytes(keys: Sequence[bytes], n_blocks: int) -> bytearray:
     i is the keyed blake2b digest of the 8-byte big-endian counter i.  A
     longer stream absorbs its key once into a state that is copied per
     block, except for the last block, which is hashed on the state itself.
-    Digests are appended to the one buffer returned."""
+    Digests are appended to the one buffer returned, so a call holds about
+    the bytes it returns."""
     data = bytearray()
     if n_blocks:
         last = n_blocks - 1
@@ -169,7 +170,9 @@ def _cut_rows(data: bytes, count: int, stride: int, clocks: int) -> list[int]:
 
     A row is a K-bit int with clock 1 as its most significant bit and a bit
     set where the sample is -1, so the row of a product of waves is the XOR
-    of their rows.  Every int path reads rows in this one format."""
+    of their rows.  Every int path reads rows in this one format: the Monte
+    Carlo engine, ``gf2_fast_readout``, universe-check's sign planes and
+    orthogonality's popcount."""
     width = -(-clocks // 8)
     pad = 8 * width - clocks
     ones = (1 << 8 * width) - 1
@@ -186,7 +189,8 @@ def _stream_rows(keys: Sequence[bytes], clocks: int) -> list[int]:
 
 
 def _sign_rows(samples: np.ndarray) -> list[int]:
-    """The row of each line of an (R, K) array of ±1 samples."""
+    """The row of each line of an (R, K) array of ±1 samples (checked in the
+    tests against the rows of the same waves read from their streams)."""
     packed = np.packbits(samples == 1, axis=1)
     return _cut_rows(packed.tobytes(), len(packed), packed.shape[1], samples.shape[1])
 
@@ -221,17 +225,34 @@ def _all_bipolar(samples: np.ndarray) -> bool:
     return bool(np.all((samples == 1) | (samples == -1)))
 
 
-def _frozen_samples(raw: np.ndarray, bipolar: str | None = None) -> np.ndarray:
-    """*raw* as a read-only copy under the one sample rule: every sample is an
-    integer, kept as int64 or, in object arrays and where int64 cannot hold
-    it, as a Python int.  Other dtypes are refused unless empty; object arrays
-    are checked element by element, refusing bool as :func:`_index` does.
-    Samples that *bipolar* names must be ±1 before the int8 narrowing."""
+def _frozen_samples(samples, bipolar: str | None = None) -> np.ndarray:
+    """*samples* as a read-only copy under the one sample rule: every sample
+    is an integer, kept as int64 or, where int64 cannot hold it, as a Python
+    int.  Other dtypes are refused unless empty.  Object arrays are checked
+    element by element, refusing bool as :func:`_index` does, and keep
+    Python ints.  numpy reads a sequence of numbers as one number dtype,
+    taking a bool among ints as 1 and ints past int64 as floats, so such a
+    sequence is read element by element too, then kept as int64 when every
+    value fits (a sequence of bools alone reads as bool and is refused by
+    its dtype); a flat sequence of plain ints that numpy read as integers,
+    such as a wave file's samples, is kept as read.  Samples that *bipolar*
+    names must be ±1 before the int8 narrowing."""
+    raw = np.asarray(samples)
+    reread = (not isinstance(samples, np.ndarray) and raw.dtype.kind in "iuf"
+              and not (raw.ndim == 1 and raw.dtype.kind in "iu"
+                       and {int}.issuperset(map(type, samples))))
+    if reread:
+        raw = np.asarray(samples, dtype=object)
     if raw.dtype == object:
         try:
             arr = np.array([_index(v, "sample") for v in raw.flat], object).reshape(raw.shape)
         except TypeError as exc:
             raise ValueError(str(exc)) from None
+        if reread:
+            try:
+                arr = arr.astype(np.int64)
+            except OverflowError:  # a value past int64 keeps Python ints
+                pass
     elif raw.size and raw.dtype.kind not in "iu":
         raise ValueError(f"samples must be integers, got dtype {raw.dtype}")
     else:
@@ -246,25 +267,6 @@ def _frozen_samples(raw: np.ndarray, bipolar: str | None = None) -> np.ndarray:
     return arr
 
 
-def _sample_array(samples) -> np.ndarray:
-    """*samples* as an array for :func:`_frozen_samples`.  numpy reads a
-    sequence of numbers as one number dtype, taking a bool among ints as 1
-    and ints past int64 as floats, so such a sequence is read again element
-    by element, as an object array is: int64 when every value fits, Python
-    ints when one does not.  A flat sequence of plain ints that numpy read
-    as integers, such as a wave file's samples, is kept as read."""
-    raw = np.asarray(samples)
-    if isinstance(samples, np.ndarray) or raw.dtype.kind not in "iuf":
-        return raw
-    if raw.ndim == 1 and raw.dtype.kind in "iu" and {int}.issuperset(map(type, samples)):
-        return raw
-    checked = _frozen_samples(np.asarray(samples, dtype=object))
-    try:
-        return checked.astype(np.int64)
-    except OverflowError:
-        return checked
-
-
 class _Wave:
     """Read-only one-dimensional sample array.  Equal only to a wave of the
     same type with equal samples; the hash reads sample values, not bytes,
@@ -274,10 +276,10 @@ class _Wave:
     _bipolar: str | None = None  # names the samples when they must be ±1
 
     def __init__(self, samples: Iterable[int]):
-        raw = _sample_array(samples)
-        if raw.ndim != 1:
+        arr = _frozen_samples(samples, self._bipolar)
+        if arr.ndim != 1:
             raise ValueError("samples must be one-dimensional")
-        self._samples = _frozen_samples(raw, self._bipolar)
+        self._samples = arr
 
     @classmethod
     def _wrap(cls, arr: np.ndarray):
@@ -346,10 +348,10 @@ class ReferenceSystem:
         return refsys
 
     def __init__(self, samples: np.ndarray):
-        raw = _sample_array(samples)
-        if raw.ndim != 3 or raw.shape[0] != 2:
-            raise ValueError(f"samples must have shape (2, N, K), got {raw.shape}")
-        self._samples = _frozen_samples(raw, "reference")
+        arr = _frozen_samples(samples, "reference")
+        if arr.ndim != 3 or arr.shape[0] != 2:
+            raise ValueError(f"samples must have shape (2, N, K), got {arr.shape}")
+        self._samples = arr
 
     @property
     def samples(self) -> np.ndarray:
@@ -392,7 +394,9 @@ def _reference_keys(master_seed: int, n_bits: int) -> list[bytes]:
 
 def make_reference_system(master_seed: int, n_bits: int, clocks: int) -> ReferenceSystem:
     """Build the 2N reference waves from distinct substreams of one seed:
-    L_r is the stream at path ("bit", r, "L") and H_r at ("bit", r, "H")."""
+    L_r is the stream at path ("bit", r, "L") and H_r at ("bit", r, "H").
+    The 2N keys are derived from one ("bit",) prefix state, and all 2N
+    streams are unpacked in one call."""
     n_bits, clocks = _index(n_bits, "n_bits", 0), _index(clocks, "clocks", 0)
     bits = _stream_bits(_reference_keys(master_seed, n_bits), clocks).reshape(2, n_bits, clocks)
     return ReferenceSystem._wrap(2 * bits.view(np.int8) - 1)
@@ -400,7 +404,8 @@ def make_reference_system(master_seed: int, n_bits: int, clocks: int) -> Referen
 
 def _reference_rows(master_seed: int, n_bits: int, clocks: int) -> list[int]:
     """The rows of the 2N waves of ``make_reference_system(master_seed,
-    n_bits, clocks)``, L_1..L_N then H_1..H_N."""
+    n_bits, clocks)``, L_1..L_N then H_1..H_N; that function is its oracle
+    in the tests."""
     return _stream_rows(_reference_keys(master_seed, n_bits), clocks)
 
 
@@ -412,7 +417,8 @@ def _pair_rows(master_seed: int, n_bits: int, clocks: int) -> Iterator[int]:
     shift to K bits.  A one-block stream, every stream at K <= 512, is
     hashed here in one keyed call, under the counter :func:`_stream_bytes`
     gives block 0: calling ``_stream_bytes`` per pair instead made the
-    Monte Carlo benchmark about a quarter slower."""
+    Monte Carlo benchmark about a quarter slower.  The XOR of the two
+    halves of :func:`_reference_rows` is its oracle in the tests."""
     n_blocks = -(-clocks // _BLOCK_BITS)
     shift = n_blocks * _BLOCK_BITS - clocks
     suffixes = _bit_suffixes(n_bits)
@@ -434,6 +440,9 @@ def _pair_rows(master_seed: int, n_bits: int, clocks: int) -> Iterator[int]:
 
 def multiply(a: ClockedWave, b: ClockedWave) -> ClockedWave:
     """Samplewise product of two equal-length waves (again bipolar)."""
+    for wave in (a, b):  # the product of other waves is not ±1
+        if not isinstance(wave, ClockedWave):
+            raise TypeError(f"multiply takes ClockedWaves, got {type(wave).__name__}")
     if len(a) != len(b):
         raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
     return ClockedWave._wrap(a.samples * b.samples)
@@ -445,8 +454,10 @@ def time_average_product(a: ClockedWave, b: ClockedWave) -> float:
         raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
     if len(a) == 0:
         raise ValueError("time average undefined for empty waves")
-    # numpy sums int8 products in int64; object samples stay Python ints.
-    return int((a.samples * b.samples).sum()) / len(a)
+    if a.samples.dtype == b.samples.dtype == np.int8:  # ±1 products, summed in int64
+        return int((a.samples * b.samples).sum()) / len(a)
+    # Larger products would wrap in int64, so they are summed as Python ints.
+    return sum(map(operator.mul, a.samples.tolist(), b.samples.tolist())) / len(a)
 
 
 def save_wave_file(path, wave: ClockedWave) -> None:
@@ -459,7 +470,9 @@ def save_wave_file(path, wave: ClockedWave) -> None:
 
 
 def load_wave_file(path) -> ClockedWave:
-    """Read a wave file written by :func:`save_wave_file`."""
+    """Read a wave file written by :func:`save_wave_file`.  Blanks around a
+    sample are ignored, so a line may read " +1 " or end in CRLF; any other
+    line, an empty one included, is refused with its line number."""
     samples = []
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):

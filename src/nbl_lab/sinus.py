@@ -124,9 +124,9 @@ def find_degeneracies(rep: SinusRepresentation) -> DegeneracyReport:
 
 def _collision_counts(rep: SinusRepresentation) -> tuple[int, int]:
     """The group count and ``total_collided`` of ``find_degeneracies(rep)``,
-    its oracle in the tests, on Python ints alone: the 2^N product
-    frequencies come from the same N doubling steps, and a Counter counts
-    the strings at each frequency."""
+    its oracle in the tests for both assignments up to N = 16, on Python
+    ints alone: the 2^N product frequencies come from the same N doubling
+    steps, and a Counter counts the strings at each frequency."""
     n_bits = _enumeration_bits(rep.n_bits, "product-string enumeration", PRODUCT_STRING_CAP)
     frequencies = [0]
     for r in range(1, n_bits + 1):

@@ -43,6 +43,8 @@ MASK_ORDER = "tests/test_sinus.py::TestFindDegeneracies::test_linear_sixteen_bit
 BLOCKS = "tests/test_hyperspace.py::TestRealizeSuperposition::test_block_size_does_not_change_the_sum"
 WAVES = "tests/test_rtw.py::TestClockedWave::test_validation"
 UINT64 = "tests/test_rtw.py::TestIntegerWave::test_accepts_beyond_int64"
+ZERO_CLOCKS = "tests/test_cli.py::TestExitCodes::test_universe_check_at_zero_clocks_exits_2"
+WAVE_BLANKS = "tests/test_rtw.py::TestWaveFiles::test_load_ignores_blanks_around_a_sample"
 
 # (name, file under src/, exact text, replacement, nodes that must fail)
 MUTANTS = [
@@ -85,6 +87,10 @@ MUTANTS = [
      "_index(v, \"sample\") for v in raw.flat", "operator.index(v) for v in raw.flat", [WAVES]),
     ("_frozen_samples lets uint64 wrap through int64", "nbl_lab/rtw.py",
      "if raw.dtype.kind == \"u\" and np.any(arr < 0):", "if False:", [UINT64]),
+    ("run_universe_check lets K = 0 through", "nbl_lab/experiments.py",
+     "if clocks < 1:", "if clocks < 0:", [ZERO_CLOCKS]),
+    ("load_wave_file keeps the blanks around a sample", "nbl_lab/rtw.py",
+     "token = line.strip()", "token = line.rstrip(\"\\n\")", [WAVE_BLANKS]),
 ]
 
 

@@ -19,7 +19,6 @@ from nbl_lab import (
     SeedSpec,
     SinusRepresentation,
     brute_force_readout,
-    count_failures,
     enumerate_superpositions,
     find_degeneracies,
     generate_rtw,
@@ -136,12 +135,17 @@ def test_c06_readout_oracle_equivalence():
 def test_c07_failure_rate_scaling(bench_oracles):
     started = time.perf_counter()
     trials = 100_000
+    # One readout-scaling run, the experiment users run, gives every count.
+    report = run_readout_scaling(ExperimentConfig("readout-scaling", bits=(6, 8, 10),
+                                                  clocks=(8, 12, 16, 20), trials=trials,
+                                                  master_seed=SEED))
+    grid = {(record["N"], record["K"]): record["failures"] for record in report.records}
     failures = {}
 
     # geometric decay at K = 2N
     rates = {}
     for n_bits in (6, 8, 10):
-        failures[n_bits, 2 * n_bits] = count_failures(n_bits, 2 * n_bits, trials, SEED)
+        failures[n_bits, 2 * n_bits] = grid[n_bits, 2 * n_bits]
         rates[n_bits] = failures[n_bits, 2 * n_bits] / trials
     for low, high in ((6, 8), (8, 10)):
         ratio = rates[low] / rates[high]
@@ -153,7 +157,7 @@ def test_c07_failure_rate_scaling(bench_oracles):
     exact_success = 1.0
     for k in range(1, n_bits + 1):
         exact_success *= 1 - 2.0**-k
-    failures[n_bits, n_bits] = count_failures(n_bits, n_bits, trials, SEED)
+    failures[n_bits, n_bits] = grid[n_bits, n_bits]
     measured_success = 1 - failures[n_bits, n_bits] / trials
     assert abs(measured_success - exact_success) <= 0.01
 

@@ -157,6 +157,11 @@ class TestExitCodes:
         assert code == 2
         assert "configuration error" in err
 
+    def test_universe_check_at_zero_clocks_exits_2(self, capsys):
+        code, out, err = run_cli(["universe-check", "--bits", "2", "--clocks", "0"], capsys)
+        assert (code, out) == (2, "")
+        assert err == "nbl-lab: configuration error: universe check requires clocks >= 1\n"
+
     def test_both_range_forms_exit_2(self, capsys):
         for single, many in (("--bits", "--bits-range"), ("--clocks", "--clocks-range")):
             with pytest.raises(SystemExit) as exc:

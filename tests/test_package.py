@@ -1,6 +1,7 @@
 """The package as a whole: each module's __all__, declared once; the one
 integer rule for counts; numpy loaded by no experiment, only by the array
-API; and the README's library example."""
+API; and the README: its examples run, it lists every cap and it names no
+private symbol."""
 
 import json
 import re
@@ -94,6 +95,15 @@ def test_readme_cli_examples_exit_0(tmp_path, monkeypatch, capsys):
         assert main(shlex.split(line)[1:]) == 0, line
         assert capsys.readouterr().err == ""
     assert (tmp_path / "universe.csv").read_text(encoding="utf-8").startswith("N,K,equal,")
+
+
+def test_readme_names_no_private_symbol():
+    # README states the contract; a private helper's mechanism belongs in its
+    # docstring, so a rename edits one file.  Dunder names such as
+    # __version__ are public.
+    named = set(re.findall(r"\b_\w+", README.read_text(encoding="utf-8")))
+    private = {name for name in named if not (name.startswith("__") and name.endswith("__"))}
+    assert not private, sorted(private)
 
 
 def test_every_cap_is_exported_and_listed_in_the_readme():

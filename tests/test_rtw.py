@@ -364,6 +364,14 @@ class TestMultiply:
         b = fixed_wave("op2", 32)
         assert a * b == multiply(a, b)
 
+    def test_refuses_a_wave_that_is_not_clocked(self):
+        # The samplewise product of 2, 3 with itself is 4, 9: not a ClockedWave.
+        for a, b in ((IntegerWave([2, 3]), IntegerWave([2, 3])),
+                     (ClockedWave([1, -1]), IntegerWave([1, -1])),
+                     (IntegerWave([1, -1]), ClockedWave([1, -1]))):
+            with pytest.raises(TypeError, match="^multiply takes ClockedWaves, got IntegerWave$"):
+                multiply(a, b)
+
 
 class TestTimeAverageProduct:
     def test_identical_is_exactly_one(self):
@@ -395,6 +403,14 @@ class TestTimeAverageProduct:
         b = make(rng.integers(0, 1000, 257).tolist())
         exact = sum(int(x) * int(y) for x, y in zip(a.samples, b.samples))
         assert time_average_product(a, b) == exact / 257
+
+    @pytest.mark.parametrize("values", [[1 << 40, 1 << 40], [3037000500, 1], [-(2**62), 2**62]])
+    @pytest.mark.parametrize("dtype", [np.int64, object])
+    def test_products_past_int64_do_not_wrap(self, values, dtype):
+        wave = IntegerWave(np.array(values, dtype=dtype))
+        exact = sum(v * v for v in values)
+        assert exact >= 2**63
+        assert time_average_product(wave, wave) == exact / len(values)
 
     def test_independent_references_nearly_orthogonal(self):
         clocks = 10_000
@@ -626,6 +642,18 @@ class TestWaveFiles:
         with pytest.raises(TypeError, match=message):
             save_wave_file(path, IntegerWave([5, 0, 1]))
         assert not path.exists()
+
+    def test_load_ignores_blanks_around_a_sample(self, tmp_path):
+        path = tmp_path / "wave.txt"
+        path.write_bytes(b" +1 \n\t-1\r\n+1\n")
+        assert load_wave_file(path) == ClockedWave([1, -1, 1])
+
+    @pytest.mark.parametrize("text,token", [("+1\n\n-1\n", "''"), ("+1\n+ 1\n", "'+ 1'")])
+    def test_load_refuses_an_empty_or_split_sample(self, tmp_path, text, token):
+        path = tmp_path / "wave.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=re.escape(f":2: expected '+1' or '-1', got {token}") + "$"):
+            load_wave_file(path)
 
     def test_load_rejects_garbage(self, tmp_path):
         path = tmp_path / "bad.txt"
