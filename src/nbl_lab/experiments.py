@@ -11,7 +11,9 @@ import json
 import math
 import statistics
 import time
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field
+from numbers import Real
 
 from ._version import __version__
 from .hyperspace import (PRODUCT_STRING_CAP, _enumeration_bits, _expanded_sign_planes,
@@ -67,6 +69,18 @@ READOUT_TRIAL_BLOCK_CAP = 2**18
 READOUT_BITS_CAP = 128
 UNIVERSE_OP_CAP = 2**27  # oracle operations, K * sum((N + 1) * 2^N)
 
+
+def _finite(value, name: str) -> float:
+    """*value* as a float; a bool, a non-number or a number that is not
+    finite is refused with a ValueError naming *name*."""
+    try:
+        if isinstance(value, Real) and not isinstance(value, bool) and math.isfinite(value):
+            return float(value)
+    except OverflowError:  # an int past the float range
+        pass
+    raise ValueError(f"{name} must be finite numbers, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Inputs of one experiment run; reports echo it verbatim."""
@@ -80,18 +94,20 @@ class ExperimentConfig:
     p_targets: tuple[float, ...] = (0.001,)
 
     def __post_init__(self) -> None:
-        try:  # a bad count is a configuration error, which the CLI maps to exit 2
+        # Every bad field is a configuration error, which the CLI maps to exit 2.
+        for name in ("bits", "clocks", "epsilons", "p_targets"):
+            grid = getattr(self, name)
+            if isinstance(grid, str) or not isinstance(grid, Sequence):
+                raise ValueError(f"{name} must be a sequence, got {grid!r}")
+        try:
             object.__setattr__(self, "bits", tuple(_index(n, "bits", 0) for n in self.bits))
             object.__setattr__(self, "clocks", tuple(_index(k, "clocks", 0) for k in self.clocks))
             object.__setattr__(self, "trials", _index(self.trials, "trials", 1))
             object.__setattr__(self, "master_seed", _master_seed(self.master_seed))
         except TypeError as exc:
             raise ValueError(str(exc)) from exc
-        object.__setattr__(self, "epsilons", tuple(float(e) for e in self.epsilons))
-        object.__setattr__(self, "p_targets", tuple(float(p) for p in self.p_targets))
-        for name in ("epsilons", "p_targets"):
-            if not all(math.isfinite(x) for x in getattr(self, name)):
-                raise ValueError(f"{name} must be finite numbers, got {getattr(self, name)}")
+        object.__setattr__(self, "epsilons", tuple(_finite(e, "epsilons") for e in self.epsilons))
+        object.__setattr__(self, "p_targets", tuple(_finite(p, "p_targets") for p in self.p_targets))
 
     def echo(self) -> dict:
         """Every field in declaration order, as plain JSON types (tuples as lists)."""

@@ -290,11 +290,12 @@ def plant_trial(master_seed: int, trial: int, n_bits: int,
                 clocks: int) -> tuple[ReferenceSystem, ProductString, ClockedWave]:
     """Build one deterministic readout instance for a Monte Carlo trial.
 
-    The trial index selects an independent substream of *master_seed*;
+    The trial index, an integer of at least 0 as in ``count_failures``'
+    trials 0..T-1, selects an independent substream of *master_seed*;
     the reference system and the planted selection mask both derive from
     it, so instances are reproducible and independent across trials.
     """
-    trial_seed = next(_trial_seeds(master_seed, (trial,)))
+    trial_seed = next(_trial_seeds(master_seed, (_index(trial, "trial", 0),)))
     refsys = make_reference_system(trial_seed, n_bits, clocks)
     plant_bits = SeedSpec(trial_seed, ("plant",)).bits(n_bits)
     # Bit r-1 of the mask is sample r-1 of the plant stream.

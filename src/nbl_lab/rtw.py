@@ -228,37 +228,31 @@ def _all_bipolar(samples: np.ndarray) -> bool:
 def _frozen_samples(samples, bipolar: str | None = None) -> np.ndarray:
     """*samples* as a read-only copy under the one sample rule: every sample
     is an integer, kept as int64 or, where int64 cannot hold it, as a Python
-    int.  Other dtypes are refused unless empty.  Object arrays are checked
-    element by element, refusing bool as :func:`_index` does, and keep
-    Python ints.  numpy reads a sequence of numbers as one number dtype,
-    taking a bool among ints as 1 and ints past int64 as floats, so such a
-    sequence is read element by element too, then kept as int64 when every
-    value fits (a sequence of bools alone reads as bool and is refused by
-    its dtype); a flat sequence of plain ints that numpy read as integers,
-    such as a wave file's samples, is kept as read.  Samples that *bipolar*
-    names must be ±1 before the int8 narrowing."""
-    raw = np.asarray(samples)
-    reread = (not isinstance(samples, np.ndarray) and raw.dtype.kind in "iuf"
-              and not (raw.ndim == 1 and raw.dtype.kind in "iu"
-                       and {int}.issuperset(map(type, samples))))
-    if reread:
-        raw = np.asarray(samples, dtype=object)
-    if raw.dtype == object:
-        try:
-            arr = np.array([_index(v, "sample") for v in raw.flat], object).reshape(raw.shape)
-        except TypeError as exc:
-            raise ValueError(str(exc)) from None
-        if reread:
-            try:
-                arr = arr.astype(np.int64)
-            except OverflowError:  # a value past int64 keeps Python ints
-                pass
-    elif raw.size and raw.dtype.kind not in "iu":
-        raise ValueError(f"samples must be integers, got dtype {raw.dtype}")
+    int.  A numpy array of a non-object dtype is read by its dtype, which
+    must be an integer one unless the array is empty.  Any other input (a
+    list, nested list, object array, or an iterator, read as a list first)
+    is read element by element, refusing a bool or non-integer element as
+    :func:`_index` does.  Samples that *bipolar* names must be ±1 before
+    the int8 narrowing."""
+    if isinstance(samples, np.ndarray) and samples.dtype != object:
+        if samples.size and samples.dtype.kind not in "iu":
+            raise ValueError(f"samples must be integers, got dtype {samples.dtype}")
+        arr = samples.astype(np.int64) if samples.size else np.zeros(samples.shape, np.int64)
+        if samples.dtype.kind == "u" and np.any(arr < 0):  # uint64 past 2^63 - 1 wrapped
+            arr = samples.astype(object)
     else:
-        arr = raw.astype(np.int64) if raw.size else np.zeros(raw.shape, np.int64)
-        if raw.dtype.kind == "u" and np.any(arr < 0):  # uint64 past 2^63 - 1 wrapped
-            arr = raw.astype(object)
+        if isinstance(samples, Iterable) and not isinstance(samples, (Sequence, np.ndarray)):
+            samples = list(samples)  # numpy would hold an iterator as one object
+        arr = np.array(samples, dtype=object)
+        if not {int}.issuperset(map(type, arr.flat)):  # plain ints skip the conversion
+            try:
+                arr = np.array([_index(v, "sample") for v in arr.flat], object).reshape(arr.shape)
+            except TypeError as exc:
+                raise ValueError(str(exc)) from None
+        try:
+            arr = arr.astype(np.int64)
+        except OverflowError:  # a value past int64 keeps Python ints
+            pass
     if bipolar is not None:
         if not _all_bipolar(arr):
             raise ValueError(f"every {bipolar} sample must be -1 or +1")

@@ -12,7 +12,8 @@ mutant's pytest nodes against the copy: the nodes must fail.  The unmutated
 nodes run once first and must pass.  A mutant whose text is not found exactly once
 fails the script, so a refactor cannot retire a mutant silently.  pytest and
 Hypothesis write only into the temporary directory, so the checkout is left
-unchanged.  Exit status 0 means every mutant was caught.
+unchanged.  Exit status 0 means every mutant was caught; the last line gives
+the script's wall time, against a budget of 60 s.
 """
 
 from __future__ import annotations
@@ -45,6 +46,9 @@ WAVES = "tests/test_rtw.py::TestClockedWave::test_validation"
 UINT64 = "tests/test_rtw.py::TestIntegerWave::test_accepts_beyond_int64"
 ZERO_CLOCKS = "tests/test_cli.py::TestExitCodes::test_universe_check_at_zero_clocks_exits_2"
 WAVE_BLANKS = "tests/test_rtw.py::TestWaveFiles::test_load_ignores_blanks_around_a_sample"
+ELEMENTS = "tests/test_rtw.py::TestClockedWave::test_a_list_follows_the_element_rule"
+REFUSED_ELEMENT = ("tests/test_rtw.py::TestSampleRule::"
+                   "test_a_bool_float_or_str_element_is_refused_naming_it")
 
 # (name, file under src/, exact text, replacement, nodes that must fail)
 MUTANTS = [
@@ -84,14 +88,24 @@ MUTANTS = [
      "for start in range(0, clocks, span):", "for start in range(0, clocks - span + 1, span):",
      [BLOCKS]),
     ("_frozen_samples accepts bool elements", "nbl_lab/rtw.py",
-     "_index(v, \"sample\") for v in raw.flat", "operator.index(v) for v in raw.flat", [WAVES]),
+     "_index(v, \"sample\") for v in arr.flat", "operator.index(v) for v in arr.flat", [WAVES]),
+    ("_frozen_samples lets bools take the plain-int shortcut", "nbl_lab/rtw.py",
+     "if not {int}.issuperset(", "if not {int, bool}.issuperset(", [ELEMENTS, REFUSED_ELEMENT]),
     ("_frozen_samples lets uint64 wrap through int64", "nbl_lab/rtw.py",
-     "if raw.dtype.kind == \"u\" and np.any(arr < 0):", "if False:", [UINT64]),
+     "if samples.dtype.kind == \"u\" and np.any(arr < 0):", "if False:", [UINT64]),
     ("run_universe_check lets K = 0 through", "nbl_lab/experiments.py",
      "if clocks < 1:", "if clocks < 0:", [ZERO_CLOCKS]),
     ("load_wave_file keeps the blanks around a sample", "nbl_lab/rtw.py",
      "token = line.strip()", "token = line.rstrip(\"\\n\")", [WAVE_BLANKS]),
 ]
+
+
+# A pytest plugin for the runs: a failing Hypothesis test is reported with
+# the example it found, unshrunk.  Shrinking added 5-7 s to each mutant that
+# a Hypothesis test catches, and a catch needs only the failure.
+PROFILE_PLUGIN = """from hypothesis import Phase, settings
+settings.register_profile("mutants", phases=(Phase.explicit, Phase.reuse, Phase.generate))
+"""
 
 
 def _copy_checkout(dest: Path) -> None:
@@ -103,21 +117,24 @@ def _copy_checkout(dest: Path) -> None:
     (dest / "bench").mkdir()
     oracles = shutil.copy2(ROOT / "bench" / "oracles.py", dest / "bench" / "oracles.py")
     os.chmod(oracles, 0o444)
+    (dest / "mutants_profile.py").write_text(PROFILE_PLUGIN, encoding="utf-8")
 
 
 def _run_nodes(workdir: Path, nodes: list[str]) -> tuple[int, float]:
     """pytest's exit status on *nodes* in *workdir*, and the seconds taken.
     A fixed Hypothesis seed makes each run repeatable."""
+    # python -m puts *workdir* on the path, where the profile plugin is.
     env = dict(os.environ, PYTHONPATH=str(workdir / "src"), PYTHONDONTWRITEBYTECODE="1")
     started = time.perf_counter()
     status = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
-         "--hypothesis-seed=0", *nodes],
+         "-p", "mutants_profile", "--hypothesis-profile=mutants", "--hypothesis-seed=0", *nodes],
         cwd=workdir, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode
     return status, time.perf_counter() - started
 
 
 def main() -> int:
+    started = time.perf_counter()
     sources = {}
     for name, path, text, _, _ in MUTANTS:
         sources.setdefault(path, (ROOT / "src" / path).read_text(encoding="utf-8"))
@@ -144,7 +161,8 @@ def main() -> int:
             verdict = "caught" if status == 1 else "SURVIVED"
             survivors += status != 1
             print(f"{verdict}: {name} (exit {status} in {seconds:.1f} s; {' '.join(nodes)})")
-    print(f"{len(MUTANTS) - survivors} of {len(MUTANTS)} mutants caught")
+    print(f"{len(MUTANTS) - survivors} of {len(MUTANTS)} mutants caught "
+          f"in {time.perf_counter() - started:.1f} s of wall time")
     return 1 if survivors else 0
 
 

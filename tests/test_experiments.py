@@ -89,6 +89,19 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match=f"^{field} must be an integer, got {shown!r}$"):
             ExperimentConfig("x", **{field: value})
 
+    @pytest.mark.parametrize("field,value,message", [
+        ("epsilons", (True,), "epsilons must be finite numbers, got True"),
+        ("epsilons", (0.5, None), "epsilons must be finite numbers, got None"),
+        ("p_targets", ("0.1",), "p_targets must be finite numbers, got '0.1'"),
+        ("p_targets", (10**400,), "p_targets must be finite numbers, got 1" + "0" * 400),
+        ("clocks", 5, "clocks must be a sequence, got 5"),
+        ("bits", "48", "bits must be a sequence, got '48'"),
+        ("epsilons", 0.5, "epsilons must be a sequence, got 0.5"),
+    ])
+    def test_a_bad_grid_is_a_value_error_naming_it(self, field, value, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ExperimentConfig("x", **{field: value})
+
     def test_numpy_counts_are_stored_as_int(self):
         config = ExperimentConfig("x", bits=(np.int64(4),), clocks=(np.uint16(8),),
                                   trials=np.int32(3), master_seed=np.uint64(7))

@@ -15,8 +15,8 @@ import pytest
 import nbl_lab
 from nbl_lab import (ExperimentConfig, Gf2System, ProductString, SeedSpec, SinusRepresentation,
                      Superposition, count_failures, experiments, generate_rtw, hyperspace,
-                     make_reference_system, readout, realize_sinus_product, rtw, sinus,
-                     stacho_clock_bound, timeshifted_readout_steps)
+                     make_reference_system, plant_trial, readout, realize_sinus_product, rtw,
+                     sinus, stacho_clock_bound, timeshifted_readout_steps)
 from nbl_lab.cli import SEED_ENV_VAR, build_parser, config_from_args, main
 
 MODULES = (experiments, hyperspace, readout, rtw, sinus)
@@ -61,6 +61,7 @@ def test_star_import_binds_exactly_all():
     (lambda: count_failures(-1, 4, 1, SEED), "n_bits must be at least 0, got -1"),
     (lambda: count_failures(2, -1, 1, SEED), "clocks must be at least 0, got -1"),
     (lambda: count_failures(2, 4, 0, SEED), "trials must be at least 1, got 0"),
+    (lambda: plant_trial(SEED, -1, 3, 8), "trial must be at least 0, got -1"),
     (lambda: ExperimentConfig("sinus-comparison", bits=(2, -1)), "bits must be at least 0, got -1"),
     (lambda: ExperimentConfig("orthogonality", clocks=(8, -5)), "clocks must be at least 0, got -5"),
     (lambda: ExperimentConfig("orthogonality", trials=0), "trials must be at least 1, got 0"),
@@ -69,11 +70,17 @@ def test_star_import_binds_exactly_all():
     (lambda: timeshifted_readout_steps(0, 0.5), "n_bits must be at least 1, got 0"),
 ], ids=["bits", "generate_rtw", "reference-bits", "reference-clocks", "product-string",
         "superposition", "sinus-representation", "sinus-samples", "failures-bits",
-        "failures-clocks", "failures-trials", "config-bits", "config-clocks", "config-trials",
+        "failures-clocks", "failures-trials", "plant-trial", "config-bits", "config-clocks", "config-trials",
         "gf2-system", "clock-bound", "timeshifted-steps"])
 def test_a_count_below_its_minimum_is_refused_naming_it(call, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         call()
+
+
+@pytest.mark.parametrize("trial", ["abc", 2.5, True])
+def test_a_trial_index_that_is_not_an_integer_is_refused_naming_it(trial):
+    with pytest.raises(TypeError, match=f"^trial must be an integer, got {trial!r}$"):
+        plant_trial(SEED, trial, 3, 8)
 
 
 def test_readme_library_example_runs():

@@ -23,12 +23,19 @@ from nbl_lab import (
     save_wave_file,
     time_average_product,
 )
-from nbl_lab.rtw import (_derive_keys, _encode_path, _pair_rows, _reference_rows, _sign_rows,
-                         _stream_bytes, _stream_rows)
+from nbl_lab.rtw import (_derive_keys, _encode_path, _frozen_samples, _pair_rows, _reference_rows,
+                         _sign_rows, _stream_bytes, _stream_rows)
 
 SEED = 0xD1CEBA5E
 
 bipolar_lists = st.lists(st.sampled_from([-1, 1]), min_size=0, max_size=64)
+# Small samples, so that many draws fit in int64, and samples past it at both ends.
+sample_ints = st.one_of(st.integers(-4, 4), st.integers(-2**70, 2**70))
+sample_lists = st.one_of(
+    st.lists(sample_ints, max_size=8),
+    st.tuples(st.integers(0, 3), st.integers(0, 4)).flatmap(
+        lambda shape: st.lists(st.lists(sample_ints, min_size=shape[1], max_size=shape[1]),
+                               min_size=shape[0], max_size=shape[0])))
 paths = st.lists(st.one_of(st.integers(-2**63, 2**63 - 1), st.text(max_size=8)),
                  max_size=4).map(tuple)
 
@@ -232,7 +239,8 @@ class TestClockedWave:
         with pytest.raises(ValueError):
             ClockedWave([1.5])  # must not truncate to 1
         # The integer rule, as IntegerWave states it: no bool, float or complex samples.
-        for samples, dtype in (([True, True], "bool"), (np.array([1.0, -1.0]), "float64"),
+        for samples, dtype in ((np.array([True, True]), "bool"),
+                               (np.array([1.0, -1.0]), "float64"),
                                (np.array([1 + 0j]), "complex128")):
             with pytest.raises(ValueError, match=f"^samples must be integers, got dtype {dtype}$"):
                 ClockedWave(samples)
@@ -251,6 +259,22 @@ class TestClockedWave:
         with pytest.raises(ValueError, match="^sample must be an integer, got True$"):
             ReferenceSystem([[[True, -1]], [[1, 1]]])
         assert ClockedWave([1, -1]).samples.dtype == np.int8
+
+    def test_only_a_numpy_array_is_read_by_its_dtype(self):
+        # numpy alone would read these lists as a bool and a str dtype, and
+        # refuse the ragged one with its own text.
+        with pytest.raises(ValueError, match="^sample must be an integer, got True$"):
+            ClockedWave([True, True])
+        with pytest.raises(ValueError, match="^sample must be an integer, got 'a'$"):
+            ClockedWave(["a"])
+        with pytest.raises(ValueError, match=r"^sample must be an integer, got \[1, -1\]$"):
+            ReferenceSystem([[[1, -1]], [[1]]])
+
+    def test_an_iterator_is_read_as_a_list(self):
+        assert ClockedWave(iter([1, -1])) == ClockedWave([1, -1])
+        assert ClockedWave(s for s in (1, -1)) == ClockedWave([1, -1])
+        with pytest.raises(ValueError, match="^sample must be an integer, got True$"):
+            ClockedWave(iter([1, True]))
 
     def test_repr(self):
         assert repr(ClockedWave([1, -1])) == "ClockedWave(K=2)"
@@ -282,6 +306,10 @@ class TestIntegerWave:
         same = IntegerWave(np.array([2**63, 2**64 - 1, 5], dtype=object))
         assert wave == same and hash(wave) == hash(same)
         assert IntegerWave(np.array([5], dtype=np.uint64)).samples.dtype == np.int64
+
+    def test_an_object_array_is_read_as_a_list(self):
+        assert IntegerWave(np.array([5], dtype=object)).samples.dtype == np.int64
+        assert IntegerWave(np.array([2**63, 5], dtype=object)).samples.tolist() == [2**63, 5]
 
     def test_a_list_follows_the_element_rule(self):
         # numpy alone would read the first list as int64 with True as 1, and
@@ -333,6 +361,33 @@ class TestIntegerWave:
         assert a == b and hash(a) == hash(b)
         small = IntegerWave(np.array([5, -3], dtype=object))
         assert small == IntegerWave([5, -3]) and hash(small) == hash(IntegerWave([5, -3]))
+
+
+def list_forms(samples):
+    """*samples*, a flat or nested list, in each form the element rule reads."""
+    as_tuples = tuple(tuple(x) if isinstance(x, list) else x for x in samples)
+    return [samples, as_tuples, iter(samples), np.array(samples, dtype=object)]
+
+
+class TestSampleRule:
+    @given(sample_lists)
+    def test_a_list_its_tuples_an_iterator_and_an_object_array_read_alike(self, samples):
+        values = [v for x in samples for v in (x if isinstance(x, list) else [x])]
+        fits = all(-2**63 <= v < 2**63 for v in values)
+        for form in list_forms(samples):
+            arr = _frozen_samples(form)
+            assert arr.dtype == (np.int64 if fits else object)
+            assert arr.tolist() == samples
+        if not samples or not isinstance(samples[0], list):
+            assert len({IntegerWave(form) for form in list_forms(samples)}) == 1
+
+    @given(st.lists(sample_ints, max_size=6), st.integers(0, 6),
+           st.one_of(st.booleans(), st.floats(), st.text(max_size=3)))
+    def test_a_bool_float_or_str_element_is_refused_naming_it(self, samples, position, element):
+        samples.insert(position, element)
+        with pytest.raises(ValueError,
+                           match=f"^sample must be an integer, got {re.escape(repr(element))}$"):
+            IntegerWave(samples)
 
 
 class TestMultiply:
