@@ -106,8 +106,8 @@ class ExperimentConfig:
             object.__setattr__(self, "master_seed", _master_seed(self.master_seed))
         except TypeError as exc:
             raise ValueError(str(exc)) from exc
-        object.__setattr__(self, "epsilons", tuple(_finite(e, "epsilons") for e in self.epsilons))
-        object.__setattr__(self, "p_targets", tuple(_finite(p, "p_targets") for p in self.p_targets))
+        for name in ("epsilons", "p_targets"):
+            object.__setattr__(self, name, tuple(_finite(x, name) for x in getattr(self, name)))
 
     def echo(self) -> dict:
         """Every field in declaration order, as plain JSON types (tuples as lists)."""

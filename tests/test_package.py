@@ -70,8 +70,8 @@ def test_star_import_binds_exactly_all():
     (lambda: timeshifted_readout_steps(0, 0.5), "n_bits must be at least 1, got 0"),
 ], ids=["bits", "generate_rtw", "reference-bits", "reference-clocks", "product-string",
         "superposition", "sinus-representation", "sinus-samples", "failures-bits",
-        "failures-clocks", "failures-trials", "plant-trial", "config-bits", "config-clocks", "config-trials",
-        "gf2-system", "clock-bound", "timeshifted-steps"])
+        "failures-clocks", "failures-trials", "plant-trial", "config-bits", "config-clocks",
+        "config-trials", "gf2-system", "clock-bound", "timeshifted-steps"])
 def test_a_count_below_its_minimum_is_refused_naming_it(call, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         call()
