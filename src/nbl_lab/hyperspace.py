@@ -53,15 +53,25 @@ class ProductString:
 
     Bit r of *mask* (0-indexed r-1 for bit index r) selects H_r when set,
     L_r when clear.  Canonical ordering is by mask value.
+
+    The two fields are slots, so a ProductString has no ``__dict__``.  They
+    are declared in the class body rather than by ``slots=True``, which
+    rebuilds the class: its frozen ``__setattr__`` then raises a bare
+    TypeError for a name that is not a field.  Here every assignment raises
+    FrozenInstanceError, and pickling and copying go through the
+    constructor.
     """
 
+    __slots__ = ("n_bits", "mask")
     n_bits: int
     mask: int
 
+    def __reduce__(self):
+        return ProductString, (self.n_bits, self.mask)
+
     def __post_init__(self) -> None:
-        # Valid plain ints skip the _index call: CollisionGroup.members and
-        # Superposition.members build up to 2^N of these from their masks,
-        # and the call would add about half again to each build.
+        # Valid plain ints skip the _index call, which would add about half
+        # again to each build.
         if type(self.n_bits) is not int or self.n_bits < 0:
             object.__setattr__(self, "n_bits", _index(self.n_bits, "n_bits", 0))
         if type(self.mask) is not int:
@@ -96,6 +106,31 @@ class ProductString:
 
     def __str__(self) -> str:
         return "".join(self.selection(r) for r in range(1, self.n_bits + 1))
+
+
+def _product_strings(n_bits: int, masks: Iterable[int]) -> list[ProductString]:
+    """``[ProductString(n_bits, m) for m in masks]``, checked in one pass.
+
+    When N is a plain int of at least 0 and every mask a plain int in
+    0..2^N-1, the strings are built through ``object.__new__`` and the
+    slots, without the per-string check, in about half the time:
+    CollisionGroup.members, Superposition.members and the readouts'
+    survivor sets build up to 2^N strings at once.  Otherwise each string
+    is built by the constructor, which raises what it raises for that mask.
+    """
+    masks = list(masks)
+    if not (type(n_bits) is int and n_bits >= 0 and {int}.issuperset(map(type, masks))
+            and (not masks or min(masks) >= 0 and not max(masks) >> n_bits)):
+        return [ProductString(n_bits, m) for m in masks]
+    new = object.__new__
+    set_n_bits, set_mask = ProductString.n_bits.__set__, ProductString.mask.__set__
+    strings = []
+    for m in masks:
+        ps = new(ProductString)
+        set_n_bits(ps, n_bits)
+        set_mask(ps, m)
+        strings.append(ps)
+    return strings
 
 
 @dataclass(frozen=True, init=False)
@@ -135,7 +170,7 @@ class Superposition:
     @property
     def members(self) -> frozenset[ProductString]:
         """The member product strings, built on demand from the masks."""
-        return frozenset(ProductString(self.n_bits, m) for m in self.masks)
+        return frozenset(_product_strings(self.n_bits, self.masks))
 
     def __len__(self) -> int:
         return len(self.masks)

@@ -2,8 +2,12 @@
 
 Two routes are implemented and kept deliberately independent:
 
-* ``brute_force_readout``: elimination over explicitly realized candidate
-  waveforms (the slow baseline; pure waveform algebra).
+* ``brute_force_readout``: elimination over all 2^N candidate waveforms
+  (the slow baseline).  Each candidate's waveform is built from its
+  selected reference waves as packed sign words, 64 clocks to a uint64,
+  where a samplewise product is an XOR, and compared with the observed
+  wave at every clock.  It packs its own words and shares no code with the
+  fast decoder.
 * ``gf2_fast_readout``: a GF(2) linearization decoder. The sign bit of a
   product of bipolar waves is the XOR of the factors' sign bits, so every
   clock period yields one linear equation in the N unknown selections.
@@ -22,7 +26,8 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Union
 
 from ._numpy import np
-from .hyperspace import PRODUCT_STRING_CAP, ProductString, _enumeration_bits, realize_product
+from .hyperspace import (PRODUCT_STRING_CAP, ProductString, _enumeration_bits, _product_strings,
+                         realize_product)
 from .rtw import (ClockedWave, IntegerWave, ReferenceSystem, SeedSpec, _all_bipolar,
                   _derive_keys, _encode_path, _encode_path_element, _index, _pair_rows, _sign_rows,
                   make_reference_system)
@@ -203,10 +208,17 @@ def _bipolar_samples(wave: AnyWave, refsys: ReferenceSystem) -> np.ndarray | Non
 def brute_force_readout(wave: AnyWave, refsys: ReferenceSystem) -> ReadoutResult:
     """Elimination over all 2^N candidate product strings.
 
-    Every candidate's waveform is realized by explicit samplewise
-    multiplication of the selected reference waves; a candidate survives
-    iff it matches the observed wave at every clock.  The planted string
-    always survives when the wave was built from it.
+    Waveforms are held as sign words: a sign bit is 1 where a sample is
+    -1, clock t is bit t % 64 of word t // 64, and ``np.packbits`` packs
+    each wave into ceil(K/64) uint64 words, zero past clock K.  A product
+    of ±1 samples has the XOR of their sign bits, so candidate m matches
+    the observed wave exactly where the XOR of the target's words and its
+    N selected reference waves' words is zero.  The table holds that XOR
+    for every candidate, words-major as (ceil(K/64), 2^N): row m starts as
+    the target's signs and takes candidate m's factors by in-place doubling
+    (H_j adds 2^(j-1) to m), so all 2^N candidates are enumerated, and a
+    candidate survives iff its row is all zero.  The planted string always
+    survives when the wave was built from it.
 
     Args:
         wave: observed waveform (a corrupted, non-bipolar sample
@@ -218,19 +230,21 @@ def brute_force_readout(wave: AnyWave, refsys: ReferenceSystem) -> ReadoutResult
     n_bits, clocks = refsys.n_bits, refsys.clocks
     if target is None:
         return ReadoutResult.from_survivors(())
-    # Row m becomes candidate m's product (H_j adds 2^(j-1) to m), filled by in-place doubling.
-    products = np.empty((1 << n_bits, clocks), dtype=np.int8)
-    products[0] = 1
-    low, high = refsys.samples
+    # Sign words of L_1..L_N, H_1..H_N and the target, as (words, 2N + 1).
+    words = -(-clocks // 64)
+    packed = np.zeros((2 * n_bits + 1, 8 * words), dtype=np.uint8)
+    negative = np.vstack((refsys.samples.reshape(2 * n_bits, clocks) < 0, target < 0))
+    packed[:, :-(-clocks // 8)] = np.packbits(negative, axis=1, bitorder="little")
+    signs = packed.view("<u8").T
+    low, high = signs[:, :n_bits], signs[:, n_bits:-1]
+    table = np.empty((words, 1 << n_bits), dtype=np.uint64)
+    table[:, 0] = signs[:, -1]
     for r in range(n_bits):
         filled = 1 << r
-        np.multiply(products[:filled], high[r], out=products[filled:2 * filled])
-        products[:filled] *= low[r]
-    # A row matches iff its samplewise product with the ±1 target is all +1.
-    products *= target.astype(np.int8)
-    matches = np.flatnonzero(products.min(axis=1, initial=1) == 1)
-    return ReadoutResult.from_survivors(
-        ProductString(n_bits, int(mask)) for mask in matches)
+        np.bitwise_xor(table[:, :filled], high[:, r:r + 1], out=table[:, filled:2 * filled])
+        table[:, :filled] ^= low[:, r:r + 1]
+    matches = np.flatnonzero(~table.any(axis=0))
+    return ReadoutResult.from_survivors(_product_strings(n_bits, matches.tolist()))
 
 
 def gf2_fast_readout(wave: AnyWave, refsys: ReferenceSystem,
@@ -274,7 +288,7 @@ def gf2_fast_readout(wave: AnyWave, refsys: ReferenceSystem,
     solutions = [solution]
     for tag in null_tags:
         solutions += [m ^ tag for m in solutions]
-    return ReadoutResult.from_survivors(ProductString(n_bits, m) for m in solutions)
+    return ReadoutResult.from_survivors(_product_strings(n_bits, solutions))
 
 
 _TRIAL_PREFIX = _encode_path(("trial",))

@@ -232,8 +232,9 @@ def _frozen_samples(samples, bipolar: str | None = None) -> np.ndarray:
     must be an integer one unless the array is empty.  Any other input (a
     list, nested list, object array, or an iterator, read as a list first)
     is read element by element, refusing a bool or non-integer element as
-    :func:`_index` does.  Samples that *bipolar* names must be ±1 before
-    the int8 narrowing."""
+    :func:`_index` does; rows that numpy cannot stack are refused as
+    ragged.  Samples that *bipolar* names must be ±1 before the int8
+    narrowing."""
     if isinstance(samples, np.ndarray) and samples.dtype != object:
         if samples.size and samples.dtype.kind not in "iu":
             raise ValueError(f"samples must be integers, got dtype {samples.dtype}")
@@ -243,7 +244,10 @@ def _frozen_samples(samples, bipolar: str | None = None) -> np.ndarray:
     else:
         if isinstance(samples, Iterable) and not isinstance(samples, (Sequence, np.ndarray)):
             samples = list(samples)  # numpy would hold an iterator as one object
-        arr = np.array(samples, dtype=object)
+        try:
+            arr = np.array(samples, dtype=object)
+        except ValueError:  # numpy's "could not broadcast" for rows of unlike shapes
+            raise ValueError("samples have ragged rows, which differ in shape") from None
         if not {int}.issuperset(map(type, arr.flat)):  # plain ints skip the conversion
             try:
                 arr = np.array([_index(v, "sample") for v in arr.flat], object).reshape(arr.shape)

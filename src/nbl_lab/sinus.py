@@ -11,7 +11,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from ._numpy import np
-from .hyperspace import PRODUCT_STRING_CAP, ProductString, _enumeration_bits
+from .hyperspace import PRODUCT_STRING_CAP, ProductString, _enumeration_bits, _product_strings
 from .rtw import _bit_index, _index
 
 __all__ = [
@@ -79,7 +79,7 @@ class CollisionGroup:
     @property
     def members(self) -> tuple[ProductString, ...]:
         """The group's N-bit product strings, built on demand in mask order."""
-        return tuple(ProductString(self.n_bits, m) for m in self.masks)
+        return tuple(_product_strings(self.n_bits, self.masks))
 
 
 @dataclass(frozen=True)

@@ -49,6 +49,10 @@ WAVE_BLANKS = "tests/test_rtw.py::TestWaveFiles::test_load_ignores_blanks_around
 ELEMENTS = "tests/test_rtw.py::TestClockedWave::test_a_list_follows_the_element_rule"
 REFUSED_ELEMENT = ("tests/test_rtw.py::TestSampleRule::"
                    "test_a_bool_float_or_str_element_is_refused_naming_it")
+BRUTE_FORCE = ("tests/test_readout.py::TestBruteForceReadout::"
+               "test_survivors_are_the_candidates_that_realize_the_wave")
+BAD_GROUP = ("tests/test_sinus.py::TestFindDegeneracies::"
+             "test_a_bad_hand_built_group_raises_what_the_constructor_raises")
 
 # (name, file under src/, exact text, replacement, nodes that must fail)
 MUTANTS = [
@@ -97,6 +101,10 @@ MUTANTS = [
      "if clocks < 1:", "if clocks < 0:", [ZERO_CLOCKS]),
     ("load_wave_file keeps the blanks around a sample", "nbl_lab/rtw.py",
      "token = line.strip()", "token = line.rstrip(\"\\n\")", [WAVE_BLANKS]),
+    ("brute_force_readout packs one word short", "nbl_lab/readout.py",
+     "words = -(-clocks // 64)", "words = clocks // 64", [BRUTE_FORCE]),
+    ("_product_strings drops its 2^N bound", "nbl_lab/hyperspace.py",
+     "min(masks) >= 0 and not max(masks) >> n_bits", "min(masks) >= 0", [BAD_GROUP]),
 ]
 
 

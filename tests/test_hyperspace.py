@@ -1,7 +1,10 @@
 """Product strings, superpositions, and the two universe synthesis routes."""
 
+import copy
 import dataclasses
+import pickle
 import random
+import re
 from unittest import mock
 
 import numpy as np
@@ -119,6 +122,59 @@ class TestProductString:
 
     def test_all_strings_takes_numpy_count(self):
         assert list(ProductString.all_strings(np.int8(2))) == list(ProductString.all_strings(2))
+
+    def test_slotted_string_behaves_as_a_frozen_dataclass(self):
+        ps = ProductString(3, 5)
+        twins = [pickle.loads(pickle.dumps(ps, protocol))
+                 for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for twin in [*twins, copy.copy(ps), copy.deepcopy(ps)]:
+            assert type(twin) is ProductString
+            assert (twin, hash(twin), str(twin)) == (ps, hash(ps), "HLH")
+        assert hash(ps) == hash((3, 5))
+        assert sorted([ProductString(3, 6), ps, ProductString(2, 1)]) == [
+            ProductString(2, 1), ps, ProductString(3, 6)]
+        assert ProductString(3, 4) < ps <= ProductString(3, 5)
+        for name, value in (("mask", 1), ("n_bits", 4), ("label", "x")):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(ps, name, value)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del ps.mask
+        assert not hasattr(ps, "__dict__")
+        assert ps == ProductString(3, 5)
+
+
+class TestProductStrings:
+    """hyperspace._product_strings against the strings built one by one."""
+
+    @given(st.integers(0, 8), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_equals_the_strings_built_mask_by_mask(self, n_bits, data):
+        masks = data.draw(st.lists(st.integers(0, (1 << n_bits) - 1), max_size=20))
+        built = hyperspace._product_strings(n_bits, masks)
+        assert built == [ProductString(n_bits, m) for m in masks]
+        assert all(type(ps) is ProductString and type(ps.mask) is int for ps in built)
+
+    @given(member_sets())
+    @settings(max_examples=100, deadline=None)
+    def test_superposition_members_are_the_strings_of_its_masks(self, n_and_members):
+        n_bits, members = n_and_members
+        masks = Superposition(n_bits, members).masks
+        assert Superposition._wrap(n_bits, masks).members == members
+        assert members == {ProductString(n_bits, m) for m in masks}
+
+    def test_numpy_masks_are_stored_as_int(self):
+        built = hyperspace._product_strings(np.int64(3), [np.uint8(5), 2])
+        assert built == [ProductString(3, 5), ProductString(3, 2)]
+        assert [(type(ps.n_bits), type(ps.mask)) for ps in built] == [(int, int)] * 2
+
+    @pytest.mark.parametrize("n_bits,masks", [
+        (3, [1, 8]), (3, [-1, 2]), (3, [True]), (3, [1.0]), (-1, [0]), (True, [0]), (0, [1]),
+    ])
+    def test_a_bad_mask_or_count_raises_what_the_constructor_raises(self, n_bits, masks):
+        with pytest.raises((TypeError, ValueError)) as expected:
+            [ProductString(n_bits, m) for m in masks]
+        with pytest.raises(expected.type, match=f"^{re.escape(str(expected.value))}$"):
+            hyperspace._product_strings(n_bits, masks)
 
 
 class TestSuperposition:

@@ -224,6 +224,28 @@ class TestBruteForceReadout:
         with pytest.raises(ValueError):
             brute_force_readout(IntegerWave(np.ones(4, dtype=np.int64)), system)
 
+    # K = 0, one clock, and either side of the 64-clock word edges.
+    @given(st.integers(0, 8), st.sampled_from([0, 1, 63, 64, 65, 127, 128, 129, 200]),
+           st.integers(0, 2**64 - 1), st.sampled_from(["planted", "flipped", "non-bipolar"]),
+           st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_survivors_are_the_candidates_that_realize_the_wave(self, n_bits, clocks, master_seed,
+                                                               kind, data):
+        refsys, planted, wave = plant_trial(master_seed, 0, n_bits, clocks)
+        if kind != "planted" and clocks:
+            clock = data.draw(st.integers(0, clocks - 1), label="clock")
+            samples = wave.samples.astype(np.int64)
+            samples[clock] = (-samples[clock] if kind == "flipped"
+                              else data.draw(st.sampled_from([0, 2, -3, 255]), label="sample"))
+            wave = IntegerWave(samples)
+        result = brute_force_readout(wave, refsys)
+        expected = {ps for ps in ProductString.all_strings(n_bits)
+                    if np.array_equal(realize_product(ps, refsys).samples, wave.samples)}
+        assert result.survivors == expected
+        assert result.survivor_count == len(expected)
+        if kind == "planted" or not clocks:
+            assert planted in expected
+
 
 class TestGf2FastReadout:
     def test_no_constraints(self):

@@ -389,6 +389,17 @@ class TestSampleRule:
                            match=f"^sample must be an integer, got {re.escape(repr(element))}$"):
             IntegerWave(samples)
 
+    # numpy alone raises "could not broadcast input array from shape (2,2)
+    # into shape (2,)" for the first.
+    @pytest.mark.parametrize("rows", [
+        [np.ones((2, 2), int), np.ones((2, 3), int)],
+        [np.ones((1, 2), int), np.ones((1, 3), int)],
+        (np.ones((2, 2, 1), int), np.ones((2, 2, 2), int)),
+    ])
+    def test_array_rows_of_unlike_shapes_are_refused_as_ragged(self, rows):
+        with pytest.raises(ValueError, match="^samples have ragged rows, which differ in shape$"):
+            ReferenceSystem(rows)
+
 
 class TestMultiply:
     @given(bipolar_lists)

@@ -171,6 +171,22 @@ class TestFindDegeneracies:
         assert group.members == (ProductString(3, 1), ProductString(3, 2), ProductString(3, 4))
         assert [str(ps) for ps in group.members] == ["HLL", "LHL", "LLH"]
 
+    @pytest.mark.parametrize("kind", [LINEAR, EXPONENTIAL])
+    @pytest.mark.parametrize("n_bits", [0, 1, 2, 7, 12])
+    def test_members_are_the_strings_built_mask_by_mask(self, kind, n_bits):
+        for group in find_degeneracies(rep(kind, n_bits)).groups:
+            assert group.members == tuple(ProductString(n_bits, m) for m in group.masks)
+
+    # A mask past 2^N, a negative mask, a bool mask, a float mask and a bad N.
+    @pytest.mark.parametrize("n_bits,masks", [
+        (3, (1, 8)), (3, (8,)), (0, (0, 1)), (3, (2, -1)), (3, (1, True)), (3, (1.0,)), (-1, (0,)),
+    ])
+    def test_a_bad_hand_built_group_raises_what_the_constructor_raises(self, n_bits, masks):
+        with pytest.raises((TypeError, ValueError)) as expected:
+            [ProductString(n_bits, m) for m in masks]
+        with pytest.raises(expected.type, match=f"^{re.escape(str(expected.value))}$"):
+            CollisionGroup(10, n_bits, masks).members
+
     @pytest.mark.parametrize("n_bits", range(2, 11))
     def test_members_are_n_bit_strings_in_mask_order(self, n_bits):
         for group in find_degeneracies(rep(LINEAR, n_bits)).groups:
