@@ -8,18 +8,17 @@ serialized with shortest round-trip repr, so reruns are byte-identical.
 from __future__ import annotations
 
 import json
-import math
 import statistics
 import time
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field
-from numbers import Real
 
 from ._version import __version__
 from .hyperspace import (PRODUCT_STRING_CAP, _enumeration_bits, _expanded_sign_planes,
                          _universe_sign_planes)
 from .readout import _failure_counts, stacho_clock_bound, timeshifted_readout_steps
-from .rtw import _BLOCK_BITS, SeedSpec, _index, _master_seed, _reference_rows, _stream_rows
+from .rtw import (_BLOCK_BITS, SeedSpec, _index, _master_seed, _real, _reference_rows,
+                  _stream_rows)
 from .sinus import (
     EXPONENTIAL,
     LINEAR,
@@ -70,17 +69,6 @@ READOUT_BITS_CAP = 128
 UNIVERSE_OP_CAP = 2**27  # oracle operations, K * sum((N + 1) * 2^N)
 
 
-def _finite(value, name: str) -> float:
-    """*value* as a float; a bool, a non-number or a number that is not
-    finite is refused with a ValueError naming *name*."""
-    try:
-        if isinstance(value, Real) and not isinstance(value, bool) and math.isfinite(value):
-            return float(value)
-    except OverflowError:  # an int past the float range
-        pass
-    raise ValueError(f"{name} must be finite numbers, got {value!r}")
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Inputs of one experiment run; reports echo it verbatim."""
@@ -104,10 +92,10 @@ class ExperimentConfig:
             object.__setattr__(self, "clocks", tuple(_index(k, "clocks", 0) for k in self.clocks))
             object.__setattr__(self, "trials", _index(self.trials, "trials", 1))
             object.__setattr__(self, "master_seed", _master_seed(self.master_seed))
+            for name in ("epsilons", "p_targets"):
+                object.__setattr__(self, name, tuple(_real(x, name) for x in getattr(self, name)))
         except TypeError as exc:
             raise ValueError(str(exc)) from exc
-        for name in ("epsilons", "p_targets"):
-            object.__setattr__(self, name, tuple(_finite(x, name) for x in getattr(self, name)))
 
     def echo(self) -> dict:
         """Every field in declaration order, as plain JSON types (tuples as lists)."""

@@ -29,8 +29,8 @@ from ._numpy import np
 from .hyperspace import (PRODUCT_STRING_CAP, ProductString, _enumeration_bits, _product_strings,
                          realize_product)
 from .rtw import (ClockedWave, IntegerWave, ReferenceSystem, SeedSpec, _all_bipolar,
-                  _derive_keys, _encode_path, _encode_path_element, _index, _pair_rows, _sign_rows,
-                  make_reference_system)
+                  _derive_keys, _encode_path, _encode_path_element, _index, _pair_rows, _real,
+                  _sign_rows, make_reference_system)
 
 __all__ = [
     "ReadoutResult",
@@ -63,8 +63,7 @@ class ReadoutResult:
     survivor_count: int
 
     def __post_init__(self) -> None:
-        if self.survivor_count < 0:
-            raise ValueError(f"survivor count {self.survivor_count} is negative")
+        object.__setattr__(self, "survivor_count", _index(self.survivor_count, "survivor_count", 0))
         if self.survivors is not None and len(self.survivors) != self.survivor_count:
             raise ValueError("materialized survivor set does not match survivor_count")
 
@@ -87,7 +86,8 @@ class ReadoutResult:
     def sole_survivor(self) -> ProductString:
         if self.status != "unique":
             raise ValueError(f"no sole survivor: status is {self.status!r}")
-        assert self.survivors is not None
+        if self.survivors is None:
+            raise ValueError("no sole survivor: the survivor set was not materialized")
         return next(iter(self.survivors))
 
 
@@ -265,6 +265,7 @@ def gf2_fast_readout(wave: AnyWave, refsys: ReferenceSystem,
     Survivor sets with d > max_enumerated_deficit are not materialized;
     the result then carries survivors=None and the exact count 2^d.
     """
+    max_enumerated_deficit = _index(max_enumerated_deficit, "max_enumerated_deficit", 0)
     samples = _bipolar_samples(wave, refsys)
     n_bits = refsys.n_bits
     if samples is None:
@@ -406,19 +407,21 @@ def stacho_clock_bound(n_bits: int, epsilon: float) -> float:
     """Clock-period budget N * (log2 N)^(1+epsilon) sufficient for fast
     product-string measurement."""
     n_bits = _index(n_bits, "n_bits", 2)  # log2 N must be at least 1
+    epsilon = _real(epsilon, "epsilon")
     if epsilon < 0:
         raise ValueError("epsilon must be non-negative")
     try:
         bound = n_bits * math.log2(n_bits) ** (1.0 + epsilon)
     except OverflowError:
         bound = math.inf
-    return _finite(bound, f"clock bound for N={n_bits}, epsilon={epsilon}")
+    return _finite_result(bound, f"clock bound for N={n_bits}, epsilon={epsilon}")
 
 
 def timeshifted_readout_steps(n_bits: int, p_fail: float) -> float:
     """Time steps 2N * log4(N/P) needed at failure target P in the
     time-shifted representation."""
     n_bits = _index(n_bits, "n_bits", 1)
+    p_fail = _real(p_fail, "p_fail")
     if p_fail <= 0:
         raise ValueError("failure probability target must be positive")
     try:
@@ -428,10 +431,10 @@ def timeshifted_readout_steps(n_bits: int, p_fail: float) -> float:
         steps = 2 * n_bits * _log4(ratio)
     except OverflowError:
         steps = math.inf
-    return _finite(steps, f"time-shifted step count for N={n_bits}, P={p_fail}")
+    return _finite_result(steps, f"time-shifted step count for N={n_bits}, P={p_fail}")
 
 
-def _finite(value: float, what: str) -> float:
+def _finite_result(value: float, what: str) -> float:
     if not math.isfinite(value):
         raise ValueError(f"{what} is not a finite float")
     return value

@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import math
 import operator
 from dataclasses import dataclass
+from numbers import Real
 from typing import Iterable, Iterator, Sequence, Union
 
 from ._numpy import np
@@ -51,6 +53,24 @@ def _index(value, name: str, minimum: int | None = None) -> int:
     if minimum is not None and value < minimum:
         raise ValueError(f"{name} must be at least {minimum}, got {value}")
     return value
+
+
+def _real(value, name: str) -> float:
+    """*value* as a finite float (numpy floats included), the package's one
+    real-number rule.  A bool or any non-real is refused with a TypeError
+    naming *name*; a NaN, an infinity or an int past the float range with
+    a ValueError naming it."""
+    number = value
+    if type(value) is not float:  # plain floats skip the conversion
+        if isinstance(value, bool) or not isinstance(value, Real):  # a bool is not a real
+            raise TypeError(f"{name} must be a real number, got {value!r}")
+        try:
+            number = float(value)
+        except OverflowError:  # an int past the float range
+            number = math.inf
+    if not math.isfinite(number):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return number
 
 
 def _bit_index(r, n_bits: int) -> int:
@@ -448,6 +468,9 @@ def multiply(a: ClockedWave, b: ClockedWave) -> ClockedWave:
 
 def time_average_product(a: ClockedWave, b: ClockedWave) -> float:
     """(1/K)·Σ a(t)b(t); exactly 1.0 for identical waves, -1.0 for a and -a."""
+    for wave in (a, b):
+        if not isinstance(wave, _Wave):
+            raise TypeError(f"time_average_product takes waves, got {type(wave).__name__}")
     if len(a) != len(b):
         raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
     if len(a) == 0:

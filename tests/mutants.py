@@ -5,15 +5,17 @@ Run from anywhere, with numpy, pytest and hypothesis installed:
     python tests/mutants.py
 
 Each mutant replaces one exact piece of text in one file under ``src/``.
-The script copies ``src/``, ``tests/``, ``pyproject.toml`` and, read-only,
+Each run copies ``src/``, ``tests/``, ``pyproject.toml`` and, read-only,
 ``bench/oracles.py`` (which a test fixture loads) into a temporary
-directory.  For each mutant it applies the replacement there and runs the
-mutant's pytest nodes against the copy: the nodes must fail.  The unmutated
-nodes run once first and must pass.  A mutant whose text is not found exactly once
-fails the script, so a refactor cannot retire a mutant silently.  pytest and
-Hypothesis write only into the temporary directory, so the checkout is left
-unchanged.  Exit status 0 means every mutant was caught; the last line gives
-the script's wall time, against a budget of 60 s.
+directory of its own.  The unmutated nodes run once first, in one copy, and
+must pass.  Then each mutant applies its replacement in a fresh copy and
+runs its pytest nodes there: the nodes must fail.  At most two mutants run
+at a time; results are printed in ``MUTANTS`` order.  A mutant whose text
+is not found exactly once fails the script, so a refactor cannot retire a
+mutant silently.  pytest and Hypothesis write only into the temporary
+directories, so the checkout is left unchanged.  Exit status 0 means every
+mutant was caught; the last line gives the script's wall time, against a
+budget of 60 s.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -53,6 +56,10 @@ BRUTE_FORCE = ("tests/test_readout.py::TestBruteForceReadout::"
                "test_survivors_are_the_candidates_that_realize_the_wave")
 BAD_GROUP = ("tests/test_sinus.py::TestFindDegeneracies::"
              "test_a_bad_hand_built_group_raises_what_the_constructor_raises")
+READ_ALIKE = ("tests/test_experiments.py::TestExperimentConfig::"
+              "test_epsilon_and_p_are_read_alike_by_config_and_calculators")
+REAL_CALCULATORS = ("tests/test_readout.py::TestBoundCalculators::"
+                    "test_epsilon_and_p_follow_the_real_number_rule")
 
 # (name, file under src/, exact text, replacement, nodes that must fail)
 MUTANTS = [
@@ -105,7 +112,12 @@ MUTANTS = [
      "words = -(-clocks // 64)", "words = clocks // 64", [BRUTE_FORCE]),
     ("_product_strings drops its 2^N bound", "nbl_lab/hyperspace.py",
      "min(masks) >= 0 and not max(masks) >> n_bits", "min(masks) >= 0", [BAD_GROUP]),
+    ("_real lets a bool through", "nbl_lab/rtw.py",
+     "if isinstance(value, bool) or not isinstance(value, Real):",
+     "if not isinstance(value, Real):", [READ_ALIKE, REAL_CALCULATORS]),
 ]
+# Mutants run at a time, each pytest process in its own copy.
+WORKERS = 2
 
 
 # A pytest plugin for the runs: a failing Hypothesis test is reported with
@@ -141,6 +153,20 @@ def _run_nodes(workdir: Path, nodes: list[str]) -> tuple[int, float]:
     return status, time.perf_counter() - started
 
 
+def _run_in_copy(nodes: list[str], path: str | None = None, text: str = "",
+                 replacement: str = "") -> tuple[int, float]:
+    """:func:`_run_nodes` on *nodes* in a fresh copy of the checkout, with
+    *text* replaced in ``src/``*path* when a *path* is given."""
+    with tempfile.TemporaryDirectory(prefix="nbl-lab-mutants-") as tmp:
+        workdir = Path(tmp)
+        _copy_checkout(workdir)
+        if path is not None:
+            target = workdir / "src" / path
+            target.write_text(target.read_text(encoding="utf-8").replace(text, replacement),
+                              encoding="utf-8")
+        return _run_nodes(workdir, nodes)
+
+
 def main() -> int:
     started = time.perf_counter()
     sources = {}
@@ -150,25 +176,22 @@ def main() -> int:
         if found != 1:
             print(f"mutant {name!r}: its text occurs {found} times in src/{path}, not once")
             return 1
-    with tempfile.TemporaryDirectory(prefix="nbl-lab-mutants-") as tmp:
-        workdir = Path(tmp)
-        _copy_checkout(workdir)
-        every_node = sorted({node for *_, nodes in MUTANTS for node in nodes})
-        status, seconds = _run_nodes(workdir, every_node)
-        print(f"unmutated: exit {status} in {seconds:.1f} s")
-        if status != 0:
-            print("the unmutated nodes must pass")
-            return 1
-        survivors = 0
-        for name, path, text, replacement, nodes in MUTANTS:
-            target = workdir / "src" / path
-            target.write_text(sources[path].replace(text, replacement), encoding="utf-8")
-            status, seconds = _run_nodes(workdir, nodes)
-            target.write_text(sources[path], encoding="utf-8")
+    every_node = sorted({node for *_, nodes in MUTANTS for node in nodes})
+    status, seconds = _run_in_copy(every_node)
+    print(f"unmutated: exit {status} in {seconds:.1f} s")
+    if status != 0:
+        print("the unmutated nodes must pass")
+        return 1
+    survivors = 0
+    with ThreadPoolExecutor(max_workers=WORKERS) as pool:
+        runs = pool.map(lambda m: _run_in_copy(m[4], path=m[1], text=m[2], replacement=m[3]),
+                        MUTANTS)
+        for (name, *_, nodes), (status, seconds) in zip(MUTANTS, runs):
             # Exit 1 is "tests failed"; any other status is an error, not a catch.
             verdict = "caught" if status == 1 else "SURVIVED"
             survivors += status != 1
-            print(f"{verdict}: {name} (exit {status} in {seconds:.1f} s; {' '.join(nodes)})")
+            print(f"{verdict}: {name} (exit {status} in {seconds:.1f} s; {' '.join(nodes)})",
+                  flush=True)
     print(f"{len(MUTANTS) - survivors} of {len(MUTANTS)} mutants caught "
           f"in {time.perf_counter() - started:.1f} s of wall time")
     return 1 if survivors else 0

@@ -1,6 +1,7 @@
 """CLI surface: flags, seed resolution, exit codes, output files."""
 
 import contextlib
+import importlib.metadata
 import io
 import json
 import re
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nbl_lab import DEFAULT_MASTER_SEED, experiments
+from nbl_lab import DEFAULT_MASTER_SEED, __version__, experiments
 from nbl_lab.cli import SEED_ENV_VAR, build_parser, config_from_args, main
 
 
@@ -533,3 +534,5 @@ class TestDeterminism:
         )
         assert result.returncode == 0
         assert result.stdout.startswith("kind,N,f_max,samples,")
+        # pyproject reads the version from nbl_lab._version, so the two agree.
+        assert importlib.metadata.version("nbl-lab") == __version__

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import re
 import statistics
 
 import numpy as np
@@ -31,8 +32,10 @@ from nbl_lab import (
     run_readout_scaling,
     run_sinus_comparison,
     run_universe_check,
+    stacho_clock_bound,
     synthesize_universe,
     time_average_product,
+    timeshifted_readout_steps,
 )
 from nbl_lab.experiments import _bit_correlation
 from nbl_lab.rtw import _stream_rows
@@ -90,10 +93,10 @@ class TestExperimentConfig:
             ExperimentConfig("x", **{field: value})
 
     @pytest.mark.parametrize("field,value,message", [
-        ("epsilons", (True,), "epsilons must be finite numbers, got True"),
-        ("epsilons", (0.5, None), "epsilons must be finite numbers, got None"),
-        ("p_targets", ("0.1",), "p_targets must be finite numbers, got '0.1'"),
-        ("p_targets", (10**400,), "p_targets must be finite numbers, got 1" + "0" * 400),
+        ("epsilons", (True,), "epsilons must be a real number, got True"),
+        ("epsilons", (0.5, None), "epsilons must be a real number, got None"),
+        ("p_targets", ("0.1",), "p_targets must be a real number, got '0.1'"),
+        ("p_targets", (10**400,), "p_targets must be finite, got 1" + "0" * 400),
         ("clocks", 5, "clocks must be a sequence, got 5"),
         ("bits", "48", "bits must be a sequence, got '48'"),
         ("epsilons", 0.5, "epsilons must be a sequence, got 0.5"),
@@ -108,6 +111,38 @@ class TestExperimentConfig:
         assert config == ExperimentConfig("x", bits=(4,), clocks=(8,), trials=3, master_seed=7)
         assert {type(x) for x in (*config.bits, *config.clocks, config.trials,
                                   config.master_seed)} == {int}
+
+    @settings(max_examples=300, deadline=None)
+    @given(value=st.one_of(
+        st.floats(), st.integers(-10**400, 10**400), st.booleans(), st.none(), st.text(max_size=3),
+        st.floats(width=32).map(np.float32), st.floats().map(np.float64),
+    ))
+    @example(value=10**400)
+    @example(value=float("-inf"))
+    def test_epsilon_and_p_are_read_alike_by_config_and_calculators(self, value):
+        """The config and both calculators accept and refuse the same ε and
+        P, with the same error type and message but for the name."""
+        def refusal(name, call):
+            # The real-number rule's refusal as (type, message after *name*),
+            # or None; a calculator's domain or result error is not one.
+            try:
+                call()
+            except (TypeError, ValueError) as exc:
+                if re.fullmatch(f"{name} must be (a real number|finite), got .*", str(exc), re.S):
+                    # ExperimentConfig raises a rule TypeError as a ValueError.
+                    assert type(exc) is ValueError or name in ("epsilon", "p_fail")
+                    return type(exc.__cause__ or exc), str(exc)[len(name):]
+            return None
+
+        config = refusal("epsilons", lambda: ExperimentConfig("x", epsilons=(value,)))
+        assert refusal("p_targets", lambda: ExperimentConfig("x", p_targets=(value,))) == config
+        assert refusal("epsilon", lambda: stacho_clock_bound(4, value)) == config
+        assert refusal("p_fail", lambda: timeshifted_readout_steps(4, value)) == config
+        if value is None or isinstance(value, (bool, str)):  # none of them a real number
+            assert config is not None and config[0] is TypeError
+        if config is None:
+            stored = ExperimentConfig("x", epsilons=(value,)).epsilons
+            assert stored == (float(value),) and type(stored[0]) is float
 
     def test_echo_is_plain_json_types(self):
         echo = ExperimentConfig("x", bits=(1, 2), clocks=(3,)).echo()

@@ -1,5 +1,6 @@
 """GF(2) elimination, the two readout routes, and the failure-rate harness."""
 
+import math
 import re
 
 import numpy as np
@@ -179,6 +180,24 @@ class TestReadoutResult:
         with pytest.raises(ValueError):
             ambiguous.sole_survivor()
 
+    def test_sole_survivor_of_an_unmaterialized_set_is_a_value_error(self):
+        message = "no sole survivor: the survivor set was not materialized"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ReadoutResult(None, 1).sole_survivor()
+
+    @pytest.mark.parametrize("count,error,message", [
+        (True, TypeError, "survivor_count must be an integer, got True"),
+        (2.5, TypeError, "survivor_count must be an integer, got 2.5"),
+        (-1, ValueError, "survivor_count must be at least 0, got -1"),
+    ])
+    def test_survivor_count_follows_the_integer_rule(self, count, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            ReadoutResult(None, count)
+
+    def test_numpy_survivor_count_is_stored_as_int(self):
+        result = ReadoutResult(None, np.int64(4))
+        assert result == ReadoutResult(None, 4) and type(result.survivor_count) is int
+
 
 class TestBruteForceReadout:
     def test_no_constraints_keeps_everyone(self):
@@ -269,6 +288,18 @@ class TestGf2FastReadout:
         wave = realize_product(ProductString(12, 0), system)
         result = gf2_fast_readout(wave, system, max_enumerated_deficit=12)
         assert result.survivors is not None and len(result.survivors) == 2**12
+
+    @pytest.mark.parametrize("deficit,error,message", [
+        (-1, ValueError, "max_enumerated_deficit must be at least 0, got -1"),
+        (True, TypeError, "max_enumerated_deficit must be an integer, got True"),
+        (2.5, TypeError, "max_enumerated_deficit must be an integer, got 2.5"),
+        (None, TypeError, "max_enumerated_deficit must be an integer, got None"),
+    ])
+    def test_enumeration_threshold_follows_the_integer_rule(self, deficit, error, message):
+        system = make_reference_system(SEED, 4, 0)
+        wave = realize_product(ProductString(4, 3), system)
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            gf2_fast_readout(wave, system, max_enumerated_deficit=deficit)
 
     def test_corrupted_sample_is_inconsistent(self):
         system = make_reference_system(42, 3, 16)
@@ -508,6 +539,26 @@ class TestBoundCalculators:
     def test_bit_count_must_be_an_integer(self, call, message):
         with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
             call()
+
+    @pytest.mark.parametrize("calculator,value,error,message", [
+        (stacho_clock_bound, True, TypeError, "epsilon must be a real number, got True"),
+        (stacho_clock_bound, "x", TypeError, "epsilon must be a real number, got 'x'"),
+        (stacho_clock_bound, float("nan"), ValueError, "epsilon must be finite, got nan"),
+        (timeshifted_readout_steps, True, TypeError, "p_fail must be a real number, got True"),
+        (timeshifted_readout_steps, None, TypeError, "p_fail must be a real number, got None"),
+        (timeshifted_readout_steps, -math.inf, ValueError, "p_fail must be finite, got -inf"),
+        (timeshifted_readout_steps, 10**400, ValueError, f"p_fail must be finite, got {10**400}"),
+    ], ids=["clock-bound-bool", "clock-bound-str", "clock-bound-nan", "timeshifted-bool",
+            "timeshifted-none", "timeshifted-inf", "timeshifted-huge-int"])
+    def test_epsilon_and_p_follow_the_real_number_rule(self, calculator, value, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            calculator(1024, value)
+
+    def test_numpy_float_epsilon_and_p_give_plain_floats(self):
+        bound = stacho_clock_bound(1024, np.float64(0.5))
+        assert bound == stacho_clock_bound(1024, 0.5) and type(bound) is float
+        steps = timeshifted_readout_steps(64, np.float32(2**-10))
+        assert steps == 1024.0 and type(steps) is float
 
     def test_numpy_bit_count_is_accepted(self):
         assert stacho_clock_bound(np.int64(1024), 0.0) == 10240.0

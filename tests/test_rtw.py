@@ -457,6 +457,14 @@ class TestTimeAverageProduct:
         with pytest.raises(ValueError):
             time_average_product(ClockedWave([1]), ClockedWave([1, 1]))
 
+    @pytest.mark.parametrize("a,b,shown", [
+        ([1, -1], ClockedWave([1, 1]), "list"),
+        (ClockedWave([1, 1]), np.array([1, 1]), "ndarray"),
+    ])
+    def test_a_non_wave_is_a_type_error_naming_its_type(self, a, b, shown):
+        with pytest.raises(TypeError, match=f"^time_average_product takes waves, got {shown}$"):
+            time_average_product(a, b)
+
     @pytest.mark.parametrize("make", [
         lambda values: ClockedWave([1 if v % 2 else -1 for v in values]),
         lambda values: IntegerWave(np.array(values, dtype=np.int64) - 500),
