@@ -60,14 +60,12 @@ def _real(value, name: str) -> float:
     real-number rule.  A bool or any non-real is refused with a TypeError
     naming *name*; a NaN, an infinity or an int past the float range with
     a ValueError naming it."""
-    number = value
-    if type(value) is not float:  # plain floats skip the conversion
-        if isinstance(value, bool) or not isinstance(value, Real):  # a bool is not a real
-            raise TypeError(f"{name} must be a real number, got {value!r}")
-        try:
-            number = float(value)
-        except OverflowError:  # an int past the float range
-            number = math.inf
+    if isinstance(value, bool) or not isinstance(value, Real):  # a bool is not a real
+        raise TypeError(f"{name} must be a real number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:  # an int past the float range
+        number = math.inf
     if not math.isfinite(number):
         raise ValueError(f"{name} must be finite, got {value!r}")
     return number

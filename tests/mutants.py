@@ -59,7 +59,7 @@ BAD_GROUP = ("tests/test_sinus.py::TestFindDegeneracies::"
 READ_ALIKE = ("tests/test_experiments.py::TestExperimentConfig::"
               "test_epsilon_and_p_are_read_alike_by_config_and_calculators")
 REAL_CALCULATORS = ("tests/test_readout.py::TestBoundCalculators::"
-                    "test_epsilon_and_p_follow_the_real_number_rule")
+                    "test_a_bad_argument_is_refused_naming_it")
 
 # (name, file under src/, exact text, replacement, nodes that must fail)
 MUTANTS = [

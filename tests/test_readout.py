@@ -165,8 +165,6 @@ class TestReadoutResult:
             ReadoutResult(frozenset(), 1)
         with pytest.raises(ValueError):
             ReadoutResult(frozenset({ProductString(2, 1)}), 2)
-        with pytest.raises(ValueError):
-            ReadoutResult(None, -1)
         assert ReadoutResult(None, 0).status == "inconsistent"
         assert ReadoutResult(None, 1).status == "unique"
         assert ReadoutResult(None, 2).status == "ambiguous"
@@ -530,29 +528,32 @@ class TestBoundCalculators:
         assert timeshifted_readout_steps(64, 2**-10) == 1024.0
         assert timeshifted_readout_steps(16, 4) == 32.0
 
-    @pytest.mark.parametrize("call,message", [
-        (lambda: stacho_clock_bound(True, 0.0), "n_bits must be an integer, got True"),
-        (lambda: stacho_clock_bound(2.5, 0.0), "n_bits must be an integer, got 2.5"),
-        (lambda: timeshifted_readout_steps(True, 0.5), "n_bits must be an integer, got True"),
-        (lambda: timeshifted_readout_steps(4.5, 0.01), "n_bits must be an integer, got 4.5"),
-    ], ids=["clock-bound-bool", "clock-bound-float", "timeshifted-bool", "timeshifted-float"])
-    def test_bit_count_must_be_an_integer(self, call, message):
-        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
-            call()
-
-    @pytest.mark.parametrize("calculator,value,error,message", [
-        (stacho_clock_bound, True, TypeError, "epsilon must be a real number, got True"),
-        (stacho_clock_bound, "x", TypeError, "epsilon must be a real number, got 'x'"),
-        (stacho_clock_bound, float("nan"), ValueError, "epsilon must be finite, got nan"),
-        (timeshifted_readout_steps, True, TypeError, "p_fail must be a real number, got True"),
-        (timeshifted_readout_steps, None, TypeError, "p_fail must be a real number, got None"),
-        (timeshifted_readout_steps, -math.inf, ValueError, "p_fail must be finite, got -inf"),
-        (timeshifted_readout_steps, 10**400, ValueError, f"p_fail must be finite, got {10**400}"),
-    ], ids=["clock-bound-bool", "clock-bound-str", "clock-bound-nan", "timeshifted-bool",
-            "timeshifted-none", "timeshifted-inf", "timeshifted-huge-int"])
-    def test_epsilon_and_p_follow_the_real_number_rule(self, calculator, value, error, message):
+    @pytest.mark.parametrize("call,error,message", [
+        (lambda: stacho_clock_bound(True, 0.0), TypeError, "n_bits must be an integer, got True"),
+        (lambda: stacho_clock_bound(2.5, 0.0), TypeError, "n_bits must be an integer, got 2.5"),
+        (lambda: timeshifted_readout_steps(True, 0.5), TypeError,
+         "n_bits must be an integer, got True"),
+        (lambda: timeshifted_readout_steps(4.5, 0.01), TypeError,
+         "n_bits must be an integer, got 4.5"),
+        (lambda: stacho_clock_bound(1024, True), TypeError,
+         "epsilon must be a real number, got True"),
+        (lambda: stacho_clock_bound(1024, "x"), TypeError,
+         "epsilon must be a real number, got 'x'"),
+        (lambda: stacho_clock_bound(1024, math.nan), ValueError, "epsilon must be finite, got nan"),
+        (lambda: timeshifted_readout_steps(1024, True), TypeError,
+         "p_fail must be a real number, got True"),
+        (lambda: timeshifted_readout_steps(1024, None), TypeError,
+         "p_fail must be a real number, got None"),
+        (lambda: timeshifted_readout_steps(1024, -math.inf), ValueError,
+         "p_fail must be finite, got -inf"),
+        (lambda: timeshifted_readout_steps(1024, 10**400), ValueError,
+         f"p_fail must be finite, got {10**400}"),
+    ], ids=["clock-bound-bool", "clock-bound-float", "timeshifted-bool", "timeshifted-float",
+            "epsilon-bool", "epsilon-str", "epsilon-nan", "p-bool", "p-none", "p-inf",
+            "p-huge-int"])
+    def test_a_bad_argument_is_refused_naming_it(self, call, error, message):
         with pytest.raises(error, match=f"^{re.escape(message)}$"):
-            calculator(1024, value)
+            call()
 
     def test_numpy_float_epsilon_and_p_give_plain_floats(self):
         bound = stacho_clock_bound(1024, np.float64(0.5))
