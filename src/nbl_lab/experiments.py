@@ -235,8 +235,8 @@ def run_universe_check(config: ExperimentConfig) -> ExperimentReport:
     ``synthesize_universe`` and ``realize_superposition(expand_universe(N))``,
     and whole reports against reports built from those functions."""
     started = time.perf_counter()
-    if any(n > UNIVERSE_CHECK_CAP for n in config.bits):
-        raise ValueError(f"universe check: bit count exceeds cap {UNIVERSE_CHECK_CAP}")
+    _refuse_over_cap("universe check: bit count max(N)", max(config.bits, default=0),
+                     UNIVERSE_CHECK_CAP)
     if len(config.clocks) != 1:
         raise ValueError("universe check takes exactly one clock count")
     clocks = config.clocks[0]

@@ -12,6 +12,10 @@ Two routes are implemented and kept deliberately independent:
   product of bipolar waves is the XOR of the factors' sign bits, so every
   clock period yields one linear equation in the N unknown selections.
 
+The module has one GF(2) eliminator, ``_null_tags``.  ``gf2_fast_readout``,
+``Gf2System`` and the Monte Carlo engine behind ``count_failures`` all
+solve by it; the tests keep a per-row Gauss-Jordan decoder as its oracle.
+
 The fast decoder is a transparent stand-in for published fast-measurement
 algorithms whose internals are external to this package; its failure
 statistics are measured here, not quoted.  Closed-form clock-budget
@@ -55,8 +59,9 @@ AnyWave = Union[ClockedWave, IntegerWave]
 class ReadoutResult:
     """Outcome of a readout: the surviving candidate strings.
 
-    *survivors* is None when the set was too large to materialize;
-    *survivor_count* is always exact, and the status is derived from it.
+    *survivors* is None when the set was too large to materialize, and is
+    otherwise frozen into a frozenset of ProductStrings; *survivor_count* is
+    always exact, and the status is derived from it.
     """
 
     survivors: frozenset[ProductString] | None
@@ -64,7 +69,10 @@ class ReadoutResult:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "survivor_count", _index(self.survivor_count, "survivor_count", 0))
-        if self.survivors is not None and len(self.survivors) != self.survivor_count:
+        if self.survivors is None:
+            return
+        object.__setattr__(self, "survivors", frozenset(map(_survivor, self.survivors)))
+        if len(self.survivors) != self.survivor_count:
             raise ValueError("materialized survivor set does not match survivor_count")
 
     @classmethod
@@ -91,50 +99,40 @@ class ReadoutResult:
         return next(iter(self.survivors))
 
 
+def _survivor(ps: ProductString) -> ProductString:
+    if not isinstance(ps, ProductString):
+        raise TypeError(f"survivors must be ProductStrings, got {ps!r}")
+    return ps
+
+
 class Gf2System:
     """Augmented linear system over GF(2), rows packed into integers.
 
     Bit i of a row is the coefficient of variable i; bit n_vars is the
-    right-hand side.  Gauss-Jordan elimination runs at construction, so
-    rank, consistency and the solution set are immediately available.
-    Elimination preserves the solution set.  This per-clock elimination is
-    kept public as the oracle of :func:`_null_tags`, the one reduction that
-    ``gf2_fast_readout`` and ``count_failures`` run.
+    right-hand side.  The system is solved at construction, by the one
+    GF(2) elimination that ``gf2_fast_readout`` also runs, :func:`_solve`,
+    over its columns: one vector per variable, bit i for row i, and the
+    right-hand side last.
     """
 
-    __slots__ = ("n_vars", "rows", "rank", "pivot_cols", "consistent")
+    __slots__ = ("n_vars", "rank", "consistent", "_solution", "_basis")
 
     def __init__(self, n_vars: int, rows: Iterable[int] = ()):
         self.n_vars = n_vars = _index(n_vars, "n_vars", 0)
-        work = [_index(r, "rows") for r in rows]
-        rhs_bit = 1 << n_vars
-        for row in work:
+        rows = [_index(r, "rows") for r in rows]
+        columns = [0] * (n_vars + 1)
+        for i, row in enumerate(rows):
             if row >> (n_vars + 1):
                 raise ValueError("row has coefficient bits beyond n_vars")
-        pivot_cols: list[int] = []
-        reduced: list[int] = []
-        consistent = True
-        for col in range(n_vars):
-            col_bit = 1 << col
-            pivot_row = None
-            for i, row in enumerate(work):
-                if row & col_bit:
-                    pivot_row = i
-                    break
-            if pivot_row is None:
-                continue
-            pivot = work.pop(pivot_row)
-            work = [row ^ pivot if row & col_bit else row for row in work]
-            reduced = [row ^ pivot if row & col_bit else row for row in reduced]
-            reduced.append(pivot)
-            pivot_cols.append(col)
-        # Leftover rows have no coefficients; any with rhs set is 0 = 1.
-        if any(row & rhs_bit for row in work):
-            consistent = False
-        self.rows = tuple(reduced)
-        self.rank = len(pivot_cols)
-        self.pivot_cols = tuple(pivot_cols)
-        self.consistent = consistent
+            # Row i adds bit i to the column of each of its set bits.
+            bit = 1 << i
+            while row:
+                low = row & -row
+                columns[low.bit_length() - 1] |= bit
+                row ^= low
+        self._solution, self._basis = _solve(columns, n_vars)
+        self.rank = n_vars - len(self._basis)
+        self.consistent = self._solution is not None
 
     @property
     def rank_deficit(self) -> int:
@@ -143,30 +141,8 @@ class Gf2System:
     def iter_solutions(self) -> Iterator[int]:
         """All solutions as variable bitmasks (2^deficit of them), none when
         inconsistent.  The first sets every free variable to 0."""
-        if not self.consistent:
-            return
-        rhs_bit = 1 << self.n_vars
-        base = 0
-        for row, col in zip(self.rows, self.pivot_cols):
-            if row & rhs_bit:
-                base |= 1 << col
-        # One null-space vector per free variable: the free bit plus the
-        # pivot of each row that carries it.
-        pivots = set(self.pivot_cols)
-        basis = []
-        for free in range(self.n_vars):
-            if free not in pivots:
-                free_bit = vec = 1 << free
-                for row, col in zip(self.rows, self.pivot_cols):
-                    if row & free_bit:
-                        vec |= 1 << col
-                basis.append(vec)
-        for combo in range(1 << len(basis)):
-            sol = base
-            for i, vec in enumerate(basis):
-                if (combo >> i) & 1:
-                    sol ^= vec
-            yield sol
+        if self.consistent:
+            yield from _span(self._solution, self._basis)
 
 
 def _null_tags(vectors: Iterable[int]) -> Iterator[int]:
@@ -193,6 +169,32 @@ def _null_tags(vectors: Iterable[int]) -> Iterator[int]:
             tag ^= hit[1]
         else:
             yield tag
+
+
+def _solve(vectors: Iterable[int], n: int) -> tuple[int | None, list[int]]:
+    """Solve sum_{r<n} c_r v_r = v_n over GF(2), given v_0..v_n: one
+    solution mask c, or None, and the null tags of v_0..v_{n-1}.
+
+    v_n goes last into :func:`_null_tags`, so it is in the others' span
+    exactly when the last null tag has bit n.  A tag holds only its own bit
+    and those of non-null vectors, so these are Gauss-Jordan's particular
+    solution (every free bit 0) and null basis (one free bit each).
+    """
+    tags = list(_null_tags(vectors))
+    if tags and tags[-1] >> n:
+        return tags.pop() ^ (1 << n), tags
+    return None, tags
+
+
+def _span(solution: int, tags: list[int]) -> Iterator[int]:
+    """*solution* XOR each subset of *tags*, the c-th holding tags[i] iff
+    bit i of c is set, built by doubling and yielded a half at a time."""
+    span = [solution]
+    yield solution
+    for tag in tags:
+        half = [m ^ tag for m in span]
+        yield from half
+        span += half
 
 
 def _bipolar_samples(wave: AnyWave, refsys: ReferenceSystem) -> np.ndarray | None:
@@ -256,11 +258,10 @@ def gf2_fast_readout(wave: AnyWave, refsys: ReferenceSystem,
 
         sum_r c_r * a_r(t)  =  w(t) + sum_r l_r(t)      (mod 2)
 
-    with a_r = l_r XOR h_r and c_r = 1 iff bit r selects H.  Gaussian
-    elimination, :func:`_null_tags` over the N packed K-bit vectors a_r and
-    the right-hand side, then yields a unique solution (full rank), 2^d
-    survivors (rank deficit d), or inconsistency.  Cost is O(K*N) to build
-    the system plus the elimination.
+    with a_r = l_r XOR h_r and c_r = 1 iff bit r selects H.  :func:`_solve`
+    over the N packed K-bit vectors a_r and the right-hand side then yields
+    a unique solution (full rank), 2^d survivors (rank deficit d), or
+    inconsistency.  Cost is O(K*N) to build the system plus the elimination.
 
     Survivor sets with d > max_enumerated_deficit are not materialized;
     the result then carries survivors=None and the exact count 2^d.
@@ -270,26 +271,18 @@ def gf2_fast_readout(wave: AnyWave, refsys: ReferenceSystem,
     n_bits = refsys.n_bits
     if samples is None:
         return ReadoutResult.from_survivors(())
-    # Sign rows l_1..l_N, h_1..h_N, then w.  The K equations are one vector
-    # equation, sum_r c_r a_r = w xor l_1 xor ... xor l_N.
+    # Sign rows l_1..l_N, h_1..h_N, then w; the equation is
+    # sum_r c_r a_r = w xor l_1 xor ... xor l_N.
     signs = _sign_rows(np.vstack((refsys.samples.reshape(2 * n_bits, refsys.clocks), samples)))
     low, high, rhs = signs[:n_bits], signs[n_bits:-1], signs[-1]
     for row in low:
         rhs ^= row
-    # The right-hand side goes in as vector N after a_1..a_N: it lies in
-    # their span exactly when it leaves the last null tag, the one with bit
-    # N set, and that tag with bit N cleared is a solution.
-    null_tags = list(_null_tags([*map(operator.xor, low, high), rhs]))
-    if not null_tags or not null_tags[-1] >> n_bits:
+    solution, null_tags = _solve([*map(operator.xor, low, high), rhs], n_bits)
+    if solution is None:
         return ReadoutResult.from_survivors(())
-    solution = null_tags.pop() ^ (1 << n_bits)
-    deficit = len(null_tags)
-    if deficit > max_enumerated_deficit:
-        return ReadoutResult(None, 1 << deficit)
-    solutions = [solution]
-    for tag in null_tags:
-        solutions += [m ^ tag for m in solutions]
-    return ReadoutResult.from_survivors(_product_strings(n_bits, solutions))
+    if len(null_tags) > max_enumerated_deficit:
+        return ReadoutResult(None, 1 << len(null_tags))
+    return ReadoutResult.from_survivors(_product_strings(n_bits, _span(solution, null_tags)))
 
 
 _TRIAL_PREFIX = _encode_path(("trial",))
@@ -379,12 +372,13 @@ def count_failures(n_bits: int, clocks: int, trials: int, master_seed: int) -> i
     over GF(2)) is rank-deficient, and gives the same verdict as
     ``gf2_fast_readout`` on the ``plant_trial`` instance.  Each trial is
     decided without a reference system, planting, realizing or decoding:
-    the columns of A are hashed pair by pair and inserted in order into a
-    GF(2) basis, and the trial stops at the first column that reduces to
-    zero, hashing no pair past it.  This is the one-point call of the
-    engine that ``run_readout_scaling`` runs over a whole grid.  The hash
-    inputs are those of per-substream ``SeedSpec`` keys, so the counts are
-    the same as with those keys and ``Gf2System``.
+    the columns of A are hashed pair by pair and inserted in order into
+    :func:`_null_tags`, the eliminator that ``gf2_fast_readout`` and
+    ``Gf2System`` also solve by, and the trial stops at the first column
+    that reduces to zero, hashing no pair past it.  This is the one-point
+    call of the engine that ``run_readout_scaling`` runs over a whole grid.
+    The hash inputs are those of per-substream ``SeedSpec`` keys, so the
+    counts are the same as with those keys and ``gf2_fast_readout``.
 
     Trials use seeds derived from (master_seed, trial index), so the count
     is a pure function of the arguments.  With a shared master seed the

@@ -43,13 +43,12 @@ def _index(value, name: str, minimum: int | None = None) -> int:
     integer rule.  A bool or any non-integer is refused with a TypeError
     naming *name*; a value below *minimum*, when one is given, with a
     ValueError naming both."""
-    if type(value) is not int:  # plain ints skip the conversion
-        try:
-            if isinstance(value, bool):  # an int subclass, but not a count
-                raise TypeError
-            value = operator.index(value)
-        except TypeError:
-            raise TypeError(f"{name} must be an integer, got {value!r}") from None
+    try:
+        if isinstance(value, bool):  # an int subclass, but not a count
+            raise TypeError
+        value = operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
     if minimum is not None and value < minimum:
         raise ValueError(f"{name} must be at least {minimum}, got {value}")
     return value

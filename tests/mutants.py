@@ -32,6 +32,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 KERNEL = "tests/test_readout.py::TestReadoutKernel"
+GF2_SYSTEM = "tests/test_readout.py::TestGf2System"
 RECOUNT = "tests/test_readout.py::TestCountFailures::test_matches_the_per_trial_recount"
 GRID_RECOUNT = ("tests/test_experiments.py::TestReadoutScaling::"
                 "test_every_record_matches_the_per_trial_recount")
@@ -65,8 +66,10 @@ REAL_CALCULATORS = ("tests/test_readout.py::TestBoundCalculators::"
 MUTANTS = [
     ("_null_tags drops the tag XOR", "nbl_lab/readout.py",
      "            tag ^= hit[1]\n", "", [KERNEL]),
-    ("gf2_fast_readout drops the bit-N consistency test", "nbl_lab/readout.py",
-     "if not null_tags or not null_tags[-1] >> n_bits:", "if not null_tags:", [KERNEL]),
+    ("_solve drops the bit-N consistency test", "nbl_lab/readout.py",
+     "if tags and tags[-1] >> n:", "if tags:", [KERNEL]),
+    ("Gf2System's transpose keeps only each column's last row", "nbl_lab/readout.py",
+     "columns[low.bit_length() - 1] |= bit", "columns[low.bit_length() - 1] = bit", [GF2_SYSTEM]),
     ("_failure_counts counts a trial whose first null tag's top bit is N", "nbl_lab/readout.py",
      "sum(firsts[k][:n])", "sum(firsts[k][:n + 1])", [RECOUNT]),
     ("_failure_counts reuses the max(K) rows for every K", "nbl_lab/readout.py",

@@ -158,6 +158,12 @@ class TestExitCodes:
         assert code == 2
         assert "configuration error" in err
 
+    def test_universe_check_cap_names_the_largest_bit_count(self, capsys):
+        code, out, err = run_cli(["universe-check", "--bits-range", "2,13"], capsys)
+        assert (code, out) == (2, "")
+        assert err == ("nbl-lab: configuration error: universe check: bit count max(N) = 13 "
+                       "exceeds cap 12\n")
+
     def test_universe_check_at_zero_clocks_exits_2(self, capsys):
         code, out, err = run_cli(["universe-check", "--bits", "2", "--clocks", "0"], capsys)
         assert (code, out) == (2, "")

@@ -50,9 +50,63 @@ def brute_solutions(n_vars, rows):
     return solutions
 
 
-def gf2_system_readout(wave, refsys, max_enumerated_deficit=MAX_ENUMERATED_DEFICIT):
-    """The oracle decoder: one Gf2System row per clock, bit r-1 for a_r(t)
-    and bit N for the right-hand side, solved by Gauss-Jordan elimination."""
+class GaussJordan:
+    """The scalar oracle of the GF(2) decoder: Gauss-Jordan elimination of
+    an augmented system, one equation per row, bit i of a row the
+    coefficient of variable i and bit n_vars the right-hand side.  The
+    columns are reduced in order, each pivot row cleared from every other
+    row, so the pivots and the free variables are read off the reduced rows.
+    """
+
+    def __init__(self, n_vars, rows):
+        self.n_vars = n_vars
+        work = list(rows)
+        self.rows, self.pivot_cols = [], []
+        for col in range(n_vars):
+            col_bit = 1 << col
+            pivot_row = next((i for i, row in enumerate(work) if row & col_bit), None)
+            if pivot_row is None:
+                continue
+            pivot = work.pop(pivot_row)
+            work = [row ^ pivot if row & col_bit else row for row in work]
+            self.rows = [row ^ pivot if row & col_bit else row for row in self.rows]
+            self.rows.append(pivot)
+            self.pivot_cols.append(col)
+        # Leftover rows have no coefficients; any with rhs set is 0 = 1.
+        self.consistent = not any(row & 1 << n_vars for row in work)
+        self.rank = len(self.pivot_cols)
+
+    def iter_solutions(self):
+        """All solutions in counting order over the free variables, the
+        first with every free variable 0; none when inconsistent."""
+        if not self.consistent:
+            return
+        rhs_bit = 1 << self.n_vars
+        base = 0
+        for row, col in zip(self.rows, self.pivot_cols):
+            if row & rhs_bit:
+                base |= 1 << col
+        # One null-space vector per free variable: the free bit plus the
+        # pivot of each row that carries it.
+        basis = []
+        for free in range(self.n_vars):
+            if free not in self.pivot_cols:
+                free_bit = vec = 1 << free
+                for row, col in zip(self.rows, self.pivot_cols):
+                    if row & free_bit:
+                        vec |= 1 << col
+                basis.append(vec)
+        for combo in range(1 << len(basis)):
+            sol = base
+            for i, vec in enumerate(basis):
+                if (combo >> i) & 1:
+                    sol ^= vec
+            yield sol
+
+
+def gauss_jordan_readout(wave, refsys, max_enumerated_deficit=MAX_ENUMERATED_DEFICIT):
+    """The oracle decoder: one GaussJordan row per clock, bit r-1 for a_r(t)
+    and bit N for the right-hand side."""
     samples = np.asarray(wave.samples)
     if not np.all((samples == 1) | (samples == -1)):
         return ReadoutResult.from_survivors(())
@@ -61,11 +115,11 @@ def gf2_system_readout(wave, refsys, max_enumerated_deficit=MAX_ENUMERATED_DEFIC
     rhs = (samples == -1) ^ np.logical_xor.reduce(sign_l, axis=0)
     columns = np.vstack([sign_l ^ sign_h, rhs])
     rows = [sum(int(bit) << r for r, bit in enumerate(columns[:, t])) for t in range(refsys.clocks)]
-    system = Gf2System(n_bits, rows)
+    system = GaussJordan(n_bits, rows)
     if not system.consistent:
         return ReadoutResult.from_survivors(())
-    if system.rank_deficit > max_enumerated_deficit:
-        return ReadoutResult(None, 1 << system.rank_deficit)
+    if n_bits - system.rank > max_enumerated_deficit:
+        return ReadoutResult(None, 1 << (n_bits - system.rank))
     return ReadoutResult.from_survivors(ProductString(n_bits, m) for m in system.iter_solutions())
 
 
@@ -120,8 +174,33 @@ class TestGf2System:
 
     def test_numpy_rows_and_variable_count_are_accepted(self):
         system = Gf2System(np.int64(2), np.array([0b101, 0b111], dtype=np.uint8))
-        assert (system.n_vars, system.rows) == (2, Gf2System(2, [0b101, 0b111]).rows)
-        assert all(type(row) is int for row in system.rows)
+        solutions = list(system.iter_solutions())
+        assert (system.n_vars, system.rank, solutions) == (2, 2, [1])
+        assert type(system.n_vars) is int and type(solutions[0]) is int
+
+    @given(st.data(), st.integers(0, 9), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_gauss_jordan_decoder(self, data, n_vars, planted):
+        # A planted assignment makes the system consistent; random
+        # right-hand sides mostly make it inconsistent.
+        coefficients = data.draw(st.lists(st.integers(0, (1 << n_vars) - 1), max_size=14),
+                                 label="coefficients")
+        if planted:
+            x = data.draw(st.integers(0, (1 << n_vars) - 1), label="planted")
+            rhs = [(c & x).bit_count() & 1 for c in coefficients]
+        else:
+            rhs = data.draw(st.lists(st.integers(0, 1), min_size=len(coefficients),
+                                     max_size=len(coefficients)), label="rhs")
+        rows = [c | (b << n_vars) for c, b in zip(coefficients, rhs)]
+        system, oracle = Gf2System(n_vars, rows), GaussJordan(n_vars, rows)
+        assert (system.rank, system.consistent, system.rank_deficit) == \
+            (oracle.rank, oracle.consistent, n_vars - oracle.rank)
+        assert list(system.iter_solutions()) == list(oracle.iter_solutions())
+
+    def test_solutions_are_read_lazily(self):
+        # 2^64 solutions: the first few are read without building the rest.
+        solutions = Gf2System(64, [1 | 1 << 64]).iter_solutions()
+        assert [next(solutions) for _ in range(3)] == [1, 1 | 2, 1 | 4]
 
     @given(st.integers(0, 6), st.integers(0, 10), st.integers(0, 2**32))
     @settings(max_examples=200)
@@ -195,6 +274,21 @@ class TestReadoutResult:
     def test_numpy_survivor_count_is_stored_as_int(self):
         result = ReadoutResult(None, np.int64(4))
         assert result == ReadoutResult(None, 4) and type(result.survivor_count) is int
+
+    def test_survivors_are_frozen(self):
+        ps = ProductString(2, 1)
+        result = ReadoutResult([ps, ps], 1)
+        assert type(result.survivors) is frozenset
+        assert result == ReadoutResult.from_survivors([ps])
+        assert hash(result) == hash(ReadoutResult.from_survivors([ps]))
+
+    @pytest.mark.parametrize("survivors,member", [
+        (["a"], "'a'"), ([ProductString(2, 1), None], "None"), ([[1]], "[1]"),
+    ])
+    def test_a_survivor_that_is_not_a_product_string_is_refused_naming_it(self, survivors, member):
+        message = f"survivors must be ProductStrings, got {member}"
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+            ReadoutResult(survivors, 1)
 
 
 class TestBruteForceReadout:
@@ -352,27 +446,28 @@ class TestGf2FastReadout:
 
 
 class TestReadoutKernel:
-    """gf2_fast_readout against the Gf2System decoder."""
+    """gf2_fast_readout against the Gauss-Jordan decoder."""
 
     @given(st.integers(0, 12), st.sampled_from([0, 1, 2, 5, 8, 12, 16, 24, 511, 512, 513]),
            st.integers(0, 2**64 - 1), st.integers(0, 12), st.booleans(), st.data())
     @settings(max_examples=300, deadline=None)
-    def test_matches_gf2_system(self, n_bits, clocks, master_seed, max_deficit, flip, data):
+    def test_matches_the_gauss_jordan_decoder(self, n_bits, clocks, master_seed, max_deficit,
+                                              flip, data):
         refsys, planted, wave = plant_trial(master_seed, 0, n_bits, clocks)
         if flip and clocks:
             wave = flip_one_sample(wave, data.draw(st.integers(0, clocks - 1), label="clock"))
         fast = gf2_fast_readout(wave, refsys, max_enumerated_deficit=max_deficit)
-        assert fast == gf2_system_readout(wave, refsys, max_enumerated_deficit=max_deficit)
+        assert fast == gauss_jordan_readout(wave, refsys, max_enumerated_deficit=max_deficit)
 
     # K = 0 and 40 leave deficits above the enumeration threshold.
     @pytest.mark.parametrize("clocks", [0, 40, 64, 70, 513])
     @pytest.mark.parametrize("flip", [False, True])
-    def test_matches_gf2_system_at_64_bits(self, clocks, flip):
+    def test_matches_the_gauss_jordan_decoder_at_64_bits(self, clocks, flip):
         refsys, planted, wave = plant_trial(SEED, clocks, 64, clocks)
         if flip and clocks:
             wave = flip_one_sample(wave, clocks // 2)
         fast = gf2_fast_readout(wave, refsys)
-        assert fast == gf2_system_readout(wave, refsys)
+        assert fast == gauss_jordan_readout(wave, refsys)
 
 
 class TestPlantTrial:
