@@ -6,8 +6,9 @@ Two routes are implemented and kept deliberately independent:
   (the slow baseline).  Each candidate's waveform is built from its
   selected reference waves as packed sign words, 64 clocks to a uint64,
   where a samplewise product is an XOR, and compared with the observed
-  wave at every clock.  It packs its own words and shares no code with the
-  fast decoder.
+  wave at every clock.  Its words are packed by ``hyperspace._sign_words``,
+  as the expanded-sum universe's are, and it shares no code with the fast
+  decoder.
 * ``gf2_fast_readout``: a GF(2) linearization decoder. The sign bit of a
   product of bipolar waves is the XOR of the factors' sign bits, so every
   clock period yields one linear equation in the N unknown selections.
@@ -31,7 +32,7 @@ from typing import Iterable, Iterator, Union
 
 from ._numpy import np
 from .hyperspace import (PRODUCT_STRING_CAP, ProductString, _enumeration_bits, _product_strings,
-                         realize_product)
+                         _sign_words, realize_product)
 from .rtw import (ClockedWave, IntegerWave, ReferenceSystem, SeedSpec, _all_bipolar,
                   _derive_keys, _encode_path, _encode_path_element, _index, _pair_rows, _real,
                   _sign_rows, make_reference_system)
@@ -211,8 +212,8 @@ def brute_force_readout(wave: AnyWave, refsys: ReferenceSystem) -> ReadoutResult
     """Elimination over all 2^N candidate product strings.
 
     Waveforms are held as sign words: a sign bit is 1 where a sample is
-    -1, clock t is bit t % 64 of word t // 64, and ``np.packbits`` packs
-    each wave into ceil(K/64) uint64 words, zero past clock K.  A product
+    -1, clock t is bit t % 64 of word t // 64, and ``hyperspace._sign_words``
+    packs each wave into ceil(K/64) uint64 words, zero past clock K.  A product
     of ±1 samples has the XOR of their sign bits, so candidate m matches
     the observed wave exactly where the XOR of the target's words and its
     N selected reference waves' words is zero.  The table holds that XOR
@@ -232,14 +233,12 @@ def brute_force_readout(wave: AnyWave, refsys: ReferenceSystem) -> ReadoutResult
     n_bits, clocks = refsys.n_bits, refsys.clocks
     if target is None:
         return ReadoutResult.from_survivors(())
-    # Sign words of L_1..L_N, H_1..H_N and the target, as (words, 2N + 1).
-    words = -(-clocks // 64)
-    packed = np.zeros((2 * n_bits + 1, 8 * words), dtype=np.uint8)
-    negative = np.vstack((refsys.samples.reshape(2 * n_bits, clocks) < 0, target < 0))
-    packed[:, :-(-clocks // 8)] = np.packbits(negative, axis=1, bitorder="little")
-    signs = packed.view("<u8").T
+    # Sign words of L_1..L_N, H_1..H_N and the target, as (words, 2N + 1);
+    # the target's samples are ±1, so int8 holds them.
+    rows = np.vstack((refsys.samples.reshape(2 * n_bits, clocks), target.astype(np.int8)))
+    signs = _sign_words(rows).T
     low, high = signs[:, :n_bits], signs[:, n_bits:-1]
-    table = np.empty((words, 1 << n_bits), dtype=np.uint64)
+    table = np.empty((len(signs), 1 << n_bits), dtype=np.uint64)
     table[:, 0] = signs[:, -1]
     for r in range(n_bits):
         filled = 1 << r

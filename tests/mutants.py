@@ -46,6 +46,7 @@ PLANES = "tests/test_hyperspace.py::TestSignPlanes::test_plane_values_are_the_un
 COLLISIONS = "tests/test_sinus.py::TestFindDegeneracies::test_collision_counts_are_the_report_totals"
 MASK_ORDER = "tests/test_sinus.py::TestFindDegeneracies::test_linear_sixteen_bits_matches_closed_form"
 BLOCKS = "tests/test_hyperspace.py::TestRealizeSuperposition::test_block_size_does_not_change_the_sum"
+MEMBER_SUM = "tests/test_hyperspace.py::TestRealizeSuperposition::test_matches_per_member_sum"
 WAVES = "tests/test_rtw.py::TestClockedWave::test_validation"
 UINT64 = "tests/test_rtw.py::TestIntegerWave::test_accepts_beyond_int64"
 ZERO_CLOCKS = "tests/test_cli.py::TestExitCodes::test_universe_check_at_zero_clocks_exits_2"
@@ -98,9 +99,11 @@ MUTANTS = [
      "if count >= 2]", "if count > 2]", [COLLISIONS]),
     ("find_degeneracies sorts unstably", "nbl_lab/sinus.py",
      "kind=\"stable\"", "kind=\"quicksort\"", [MASK_ORDER]),
-    ("realize_superposition drops its last partial clock block", "nbl_lab/hyperspace.py",
-     "for start in range(0, clocks, span):", "for start in range(0, clocks - span + 1, span):",
-     [BLOCKS]),
+    ("realize_superposition drops its last partial word block", "nbl_lab/hyperspace.py",
+     "for start in range(0, clocks, 64 * span):",
+     "for start in range(0, clocks - 64 * span + 1, 64 * span):", [BLOCKS]),
+    ("realize_superposition drops the factor 2", "nbl_lab/hyperspace.py",
+     "len(masks) - 2 * count", "len(masks) - count", [MEMBER_SUM]),
     ("_frozen_samples accepts bool elements", "nbl_lab/rtw.py",
      "_index(v, \"sample\") for v in arr.flat", "operator.index(v) for v in arr.flat", [WAVES]),
     ("_frozen_samples lets bools take the plain-int shortcut", "nbl_lab/rtw.py",
@@ -111,8 +114,8 @@ MUTANTS = [
      "if clocks < 1:", "if clocks < 0:", [ZERO_CLOCKS]),
     ("load_wave_file keeps the blanks around a sample", "nbl_lab/rtw.py",
      "token = line.strip()", "token = line.rstrip(\"\\n\")", [WAVE_BLANKS]),
-    ("brute_force_readout packs one word short", "nbl_lab/readout.py",
-     "words = -(-clocks // 64)", "words = clocks // 64", [BRUTE_FORCE]),
+    ("_sign_words packs one word short", "nbl_lab/hyperspace.py",
+     "8 * -(-clocks // 64)", "8 * (clocks // 64)", [BRUTE_FORCE, MEMBER_SUM]),
     ("_product_strings drops its 2^N bound", "nbl_lab/hyperspace.py",
      "min(masks) >= 0 and not max(masks) >> n_bits", "min(masks) >= 0", [BAD_GROUP]),
     ("_real lets a bool through", "nbl_lab/rtw.py",

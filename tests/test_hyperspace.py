@@ -312,23 +312,26 @@ class TestRealizeSuperposition:
         with pytest.raises(ValueError):
             realize_superposition(Superposition(3), system)
 
-    @given(n_bits=st.integers(0, 12), clocks=st.sampled_from([0, 1, 127, 128, 129, 1000]),
+    @given(n_bits=st.integers(0, 12),
+           clocks=st.sampled_from([0, 1, 63, 64, 65, 127, 128, 129, 1000]),
            density=st.sampled_from([0.0, 0.1, 0.5, 1.0]), seed=st.integers(0, 2**32))
     @settings(max_examples=40, deadline=None)
     @example(n_bits=12, clocks=1000, density=0.5, seed=1)
     @example(n_bits=12, clocks=128, density=1.0, seed=2)
     def test_matches_per_member_sum(self, n_bits, clocks, density, seed):
-        # K = 1000 at N = 12 puts 87 members in a block, so blocks end
-        # inside most superpositions drawn here.
+        # K = 1000 at N = 12 puts 1012 members in a block, so blocks end
+        # inside the larger superpositions drawn here.
         rng = random.Random(seed)
         members = [ProductString(n_bits, m) for m in range(1 << n_bits) if rng.random() < density]
         superposition = Superposition(n_bits, members)
         system = make_reference_system(seed, n_bits, clocks)
-        assert realize_superposition(superposition, system) == per_member_sum(superposition, system)
+        wave = realize_superposition(superposition, system)
+        assert wave.samples.dtype == np.int64
+        assert wave == per_member_sum(superposition, system)
 
     @given(high=st.lists(st.integers(2**64, 2**70 - 1), min_size=1, max_size=4),
            low=st.lists(st.integers(0, 2**64 - 1), max_size=4),
-           clocks=st.sampled_from([1, 129, 1000]), seed=st.integers(0, 2**32))
+           clocks=st.sampled_from([1, 65, 129, 1000]), seed=st.integers(0, 2**32))
     @settings(max_examples=20, deadline=None)
     def test_matches_per_member_sum_past_64_bits(self, high, low, clocks, seed):
         superposition = Superposition(70, [ProductString(70, m) for m in high + low])
@@ -336,10 +339,13 @@ class TestRealizeSuperposition:
         assert realize_superposition(superposition, system) == per_member_sum(superposition, system)
 
     @pytest.mark.parametrize("budget", [1, 64, 4096])
-    @pytest.mark.parametrize("n_bits,clocks", [(0, 9), (5, 0), (5, 1), (5, 129), (70, 33)])
+    @pytest.mark.parametrize("n_bits,clocks",
+                             [(0, 9), (5, 0), (5, 1), (5, 129), (5, 1000), (70, 33)])
     def test_block_size_does_not_change_the_sum(self, budget, n_bits, clocks):
         # Budgets far below one block's natural size split both the
-        # members and the clocks into many blocks.
+        # members and the sign words into many blocks; at K = 1000 each
+        # member's 16 words span several word blocks, the last of them
+        # partial.
         system = make_reference_system(SEED, n_bits, clocks)
         masks = {(m * 0x9E3779B97F4A7C15) % (1 << n_bits) for m in range(32)}
         superposition = Superposition(n_bits, [ProductString(n_bits, m) for m in masks])
