@@ -210,14 +210,14 @@ def _sign_words(samples: np.ndarray) -> np.ndarray:
 def realize_superposition(s: Superposition, refsys: ReferenceSystem) -> IntegerWave:
     """Samplewise sum of the realized members; empty superposition is all zeros.
 
-    Still the expanded sum, N factors per member, now on sign words 64
-    clocks at a time: each member's product words are the XOR of its N
-    selected L_r/H_r words, and a clock's sample is the member count less
-    twice the count of members whose sign bit is set there.  Blocks of sign
-    words, each packed from its clocks of the 2N reference waves, and
-    blocks of members within them keep every temporary near _CHUNK_BYTES,
-    whatever N, K and the member count.  The per-member sum of
-    realize_product is its oracle.
+    The expanded sum, N factors per member, on sign words 64 clocks at a
+    time: each member's product words are the XOR of its N selected
+    L_r/H_r words, and a clock's sample is the member count less twice the
+    count of members whose sign bit is set there.  Blocks of sign words,
+    each packed from its clocks of the 2N reference waves, and blocks of
+    members within them keep every temporary near _CHUNK_BYTES, whatever
+    N, K and the member count.  The per-member sum of realize_product is
+    its oracle.
     """
     if s.n_bits != refsys.n_bits:
         raise ValueError(f"superposition has {s.n_bits} bits, system has {refsys.n_bits}")
@@ -237,7 +237,7 @@ def realize_superposition(s: Superposition, refsys: ReferenceSystem) -> IntegerW
         pending = iter(s.masks)
         while masks := list(islice(pending, per_block)):
             select = _selections(masks, n_bits)
-            product = np.zeros((len(masks), pairs.shape[2]), dtype=np.uint64)
+            product = np.zeros((len(masks), pairs.shape[2]), dtype="<u8")
             for r in range(n_bits):
                 product ^= np.take(pairs[:, r], select[:, r], axis=0)
             bits = np.unpackbits(product.view(np.uint8), axis=1, bitorder="little")
